@@ -7,22 +7,23 @@ insertion (joining sections of equal degree), reverse degree elevation
 (lowering a uniform degree section-wise) and a mixed per-section strategy.
 All routes avoid subtractions in their coefficient recurrences; a legacy
 derivative-based route is included for error comparisons, and every route can
-be replayed in exact rational arithmetic.
+be replayed in exact rational arithmetic. One assembler, `build_matrix`,
+serves all four routes, and an optional `Trace` records every step it runs.
 """
 
 from ._scalars import EXACT, FLOAT
-from .assembler import (build_matrix, build_matrix_mixed, build_matrix_rde,
-                        build_matrix_rki)
+from .assembler import (build_matrix, build_matrix_derivative, build_matrix_mixed,
+                        build_matrix_rde, build_matrix_rki)
 from .errors import (MDSplineError, NumericalInconsistencyError,
                      SpaceValidationError, UnsupportedSpaceError)
 from .eval_api import eval_basis, eval_spline, greville, insert_knot_coeffs
-from .join_core import Bundle, cr_join, section_bundle
-from .legacy import build_matrix_derivative
+from .join_core import Bundle, Trace, cr_join, section_bundle
 from .spaces import MDSpace
 
 __all__ = [
     "MDSpace",
     "Bundle",
+    "Trace",
     "FLOAT",
     "EXACT",
     "build_matrix",

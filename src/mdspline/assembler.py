@@ -1,85 +1,29 @@
-"""Assembly of full-space representations from per-section building blocks.
+"""The one assembler behind every route to a full-space representation.
 
-Three strategies produce a bundle for the same space. "rki" joins the maximal
-equal-degree sections pairwise, highest seam continuity first. "rde" embeds
-the whole space in its uniform maximum-degree cover in one sweep. "mixed"
-partitions the sections into groups, builds every group marked for degree
-lowering in one sweep each, and then joins the resulting blocks pairwise, again
-highest continuity first. The reference of the final bundle is checked against
-the continuity-zero shadow of the target space when no group spans a seam.
+A route only chooses a plan: a partition of the maximal equal-degree sections
+into contiguous groups. "rki" and "derivative" keep every section on its own,
+"rde" puts all of them into one group, and "mixed" takes its groups from a
+per-section plan, `auto_plan` by default. A one-section group is a section
+bundle; a longer one is embedded in the uniform cover of its maximum degree by
+one degree-lowering sweep. The blocks are then joined pairwise at the seams
+between groups, highest continuity first, by `cr_join`, or by `legacy_join`
+on the derivative route. When every group is a single section, the reference
+of the result is checked against the continuity-zero shadow of the space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ._scalars import FLOAT
-from .errors import UnsupportedSpaceError
-from .join_core import Bundle, JoinRecord, cr_join, section_bundle
-from .rde_core import (RATIO, RDERecord, level_space, rde_build, rde_schedule,
-                       window_bounds)
+from .errors import NumericalInconsistencyError, UnsupportedSpaceError
+from .join_core import Bundle, Trace, cr_join, section_bundle
+from .legacy import legacy_join
+from .rde_core import RATIO, level_space, rde_build, rde_schedule, window_bounds
 from .spaces import MDSpace
 
 RKI = "rki"
 RDE = "rde"
 MIXED = "mixed"
-
-
-@dataclass
-class BuildRecord:
-    joins: list[JoinRecord]
-    rde_runs: list[RDERecord]
-
-    @staticmethod
-    def empty() -> "BuildRecord":
-        return BuildRecord([], [])
-
-
-def _join_pairwise(units: list[tuple[int, Bundle]], joins, field,
-                   record: BuildRecord | None) -> Bundle:
-    """units: (section range end, bundle) blocks left to right; joins: the
-    seams between them as (continuity, seam index, x). Highest continuity
-    first, ties left to right."""
-    units = list(units)
-    pending = sorted(joins, key=lambda v: (-v[0], v[1]))
-    for r, _, x in pending:
-        pos = next(i for i, (end, b) in enumerate(units) if b.space.b == x)
-        left, right = units[pos][1], units[pos + 1][1]
-        jr = None
-        if record is not None:
-            jr = JoinRecord(x, r, left.space, right.space)
-            record.joins.append(jr)
-        merged = cr_join(left, right, r, field, jr)
-        units[pos:pos + 2] = [(units[pos + 1][0], merged)]
-    assert len(units) == 1
-    return units[0][1]
-
-
-def build_matrix_rki(space: MDSpace, field=FLOAT,
-                     record: BuildRecord | None = None) -> Bundle:
-    dec = space.section_decomposition()
-    units = [(i, section_bundle(s, field)) for i, s in enumerate(dec.sections)]
-    joins = [(j.continuity, j.index, j.x) for j in dec.join_order]
-    out = _join_pairwise(units, joins, field, record)
-    out.strategy = RKI
-    _check_reference(out, space)
-    return out
-
-
-def build_matrix_rde(space: MDSpace, field=FLOAT, mode: str = RATIO,
-                     record: BuildRecord | None = None) -> Bundle:
-    if min(space.degrees) < 1:
-        raise UnsupportedSpaceError(
-            "degree lowering needs every interval degree to be at least 1")
-    rr = None
-    if record is not None:
-        rr = RDERecord(space)
-        record.rde_runs.append(rr)
-    out = rde_build(space, field, mode, record=rr)
-    assert out.space == space
-    return out
+DERIVATIVE = "derivative"
 
 
 def rde_cost(space: MDSpace, min_orders: int = 1) -> int:
@@ -145,63 +89,74 @@ def auto_plan(space: MDSpace) -> list[str]:
     return plan
 
 
-def build_matrix_mixed(space: MDSpace, field=FLOAT, plan: list[str] | None = None,
-                       record: BuildRecord | None = None) -> Bundle:
-    dec = space.section_decomposition()
-    n = len(dec.sections)
+def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:
+    """Contiguous section groups (lo, hi) that `route` builds as one block each."""
+    if route in (RKI, DERIVATIVE):
+        return [(i, i) for i in range(n)]
+    if route == RDE:
+        if min(space.degrees) < 1:
+            raise UnsupportedSpaceError(
+                "degree lowering needs every interval degree to be at least 1")
+        return [(0, n - 1)]
+    if route != MIXED:
+        raise ValueError(f"unknown route {route!r}")
     if plan is None:
         plan = auto_plan(space)
     if len(plan) != n or any(p not in (RKI, RDE) for p in plan):
         raise ValueError(f"plan must assign '{RKI}' or '{RDE}' to each of {n} sections")
-
-    groups: list[tuple[int, int, str]] = []
-    lo = 0
+    groups, lo = [], 0
     for i in range(1, n + 1):
         if i == n or plan[i] != plan[lo] or plan[lo] == RKI:
-            groups.append((lo, i - 1, plan[lo]))
+            groups.append((lo, i - 1))
             lo = i
-    units = []
-    for (glo, ghi, kind) in groups:
-        if kind == RKI or glo == ghi and _is_uniform(dec.sections[glo]):
-            if glo != ghi:
-                raise AssertionError("rki groups are single sections")
-            units.append((ghi, section_bundle(dec.sections[glo], field)))
+    return groups
+
+
+def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
+                 trace: Trace | None = None, plan=None) -> Bundle:
+    """Bundle of `space` built by `route`; `plan` labels each section for "mixed"."""
+    dec = space.section_decomposition()
+    groups = _groups(space, len(dec.sections), route, plan)
+    blocks = []
+    for lo, hi in groups:
+        if lo == hi:
+            blocks.append(section_bundle(dec.sections[lo], field))
             continue
-        sub = space.restrict(dec.boundaries[glo], dec.boundaries[ghi + 1])
-        need = [dec.joins[i].continuity
-                for i in (glo - 1, ghi) if 0 <= i < len(dec.joins)]
-        rr = None
-        if record is not None:
-            rr = RDERecord(sub)
-            record.rde_runs.append(rr)
-        units.append((ghi, rde_build(sub, field, RATIO, max(need, default=1), rr)))
-    outer = []
-    for (_, ghi, _kind) in groups[:-1]:
-        j = dec.joins[ghi]
-        outer.append((j.continuity, j.index, j.x))
-    out = _join_pairwise(units, outer, field, record)
-    out.strategy = MIXED
-    assert out.space == space
+        need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
+        sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
+        blocks.append(rde_build(sub, field, RATIO, max(need, default=1), trace))
+    join = legacy_join if route == DERIVATIVE else cr_join
+    seams = sorted((dec.joins[hi] for _, hi in groups[:-1]),
+                   key=lambda jn: (-jn.continuity, jn.index))
+    for jn in seams:
+        pos = next(i for i, b in enumerate(blocks) if b.space.b == jn.x)
+        left, right = blocks[pos], blocks[pos + 1]
+        blocks[pos:pos + 2] = [join(left, right, jn.continuity, field, trace)]
+    out = blocks[0]
+    out.strategy = route
+    if out.space != space:
+        raise NumericalInconsistencyError(f"built {out.space}, expected {space}")
+    if len(groups) == len(dec.sections):
+        ref, shadow = out.ref, space.associated_c0()
+        if (ref.degrees, ref.continuities) != (shadow.degrees, shadow.continuities):
+            raise NumericalInconsistencyError(
+                f"reference {ref} is not the continuity-zero shadow {shadow}")
     return out
 
 
-def _is_uniform(section: MDSpace) -> bool:
-    return all(d == section.degrees[0] for d in section.degrees)
+def build_matrix_rki(space: MDSpace, field=FLOAT, trace: Trace | None = None) -> Bundle:
+    return build_matrix(space, RKI, field, trace)
 
 
-def _check_reference(bundle: Bundle, space: MDSpace) -> None:
-    ref = bundle.orders[0].ref
-    shadow = space.associated_c0()
-    assert ref.degrees == shadow.degrees
-    assert ref.continuities == shadow.continuities
+def build_matrix_rde(space: MDSpace, field=FLOAT, trace: Trace | None = None) -> Bundle:
+    return build_matrix(space, RDE, field, trace)
 
 
-def build_matrix(space: MDSpace, strategy: str = RKI, field=FLOAT,
-                 record: BuildRecord | None = None, plan=None) -> Bundle:
-    if strategy == RKI:
-        return build_matrix_rki(space, field, record)
-    if strategy == RDE:
-        return build_matrix_rde(space, field, record=record)
-    if strategy == MIXED:
-        return build_matrix_mixed(space, field, plan, record)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def build_matrix_mixed(space: MDSpace, field=FLOAT, plan: list[str] | None = None,
+                       trace: Trace | None = None) -> Bundle:
+    return build_matrix(space, MIXED, field, trace, plan)
+
+
+def build_matrix_derivative(space: MDSpace, field=FLOAT,
+                            trace: Trace | None = None) -> Bundle:
+    return build_matrix(space, DERIVATIVE, field, trace)

@@ -8,14 +8,16 @@ import json
 import sys
 
 from . import oracle
-from .assembler import build_matrix
+from ._scalars import EXACT
+from .assembler import DERIVATIVE, MIXED, RDE, RKI, build_matrix
 from .errors import MDSplineError, SpaceValidationError
 from .eval_api import eval_basis, eval_spline, greville
-from .legacy import build_matrix_derivative
 from .presets import HIGHLIGHT_FUNCTION, TABLE7_RANGE, preset_space, table7
 from .spaces import MDSpace
 
 FMT = "%.16e"
+ROUTES = (RKI, RDE, MIXED, DERIVATIVE)
+GREVILLE = "greville"      # `experiment --methods` name of the rki route
 
 
 def _fmt(v) -> str:
@@ -37,23 +39,14 @@ def _open_out(args):
     return sys.stdout
 
 
-def _build(space: MDSpace, method: str):
-    if method == "derivative":
-        return build_matrix_derivative(space)
-    return build_matrix(space, method)
+def _route(method: str) -> str:
+    return RKI if method == GREVILLE else method
 
 
-def _exact_for(space: MDSpace, method: str):
-    """Exact matrix on the reference space that method maps onto.
-
-    The derivative route shares the stable route's reference and its exact
-    replay equals the stable one, so both compare against the same oracle."""
-    from .assembler import build_matrix_mixed, build_matrix_rde
-    if method == "rde":
-        return oracle.exact_bundle(space, build_matrix_rde)
-    if method == "mixed":
-        return oracle.exact_bundle(space, build_matrix_mixed)
-    return oracle.exact_bundle(space)
+def _exact_route(method: str) -> str:
+    """The route whose exact replay is the oracle of `method`: the derivative
+    route's exact replay equals the stable one, so it shares the rki oracle."""
+    return RKI if method == DERIVATIVE else _route(method)
 
 
 def cmd_validate(args) -> int:
@@ -91,7 +84,7 @@ def _matrix_rows(bundle):
 
 def cmd_matrix(args) -> int:
     space = _load_space(args)
-    bundle = _build(space, args.method)
+    bundle = build_matrix(space, args.method)
     meta, rows = _matrix_rows(bundle)
     out = _open_out(args)
     try:
@@ -99,7 +92,7 @@ def cmd_matrix(args) -> int:
             doc = dict(meta)
             doc["matrix"] = [[float(v) for v in row] for row in rows]
             if args.oracle:
-                exact = _exact_for(space, args.method)
+                exact = build_matrix(space, _exact_route(args.method), EXACT)
                 doc["matrix_exact"] = oracle.fraction_matrix_strings(exact.matrix)
                 doc["oracle_error"] = oracle.matrix_error(bundle.matrix, exact.matrix)
             json.dump(doc, out, indent=2)
@@ -119,15 +112,17 @@ def cmd_matrix(args) -> int:
 def _parse_points(args, space: MDSpace) -> list[float]:
     if args.points:
         return [float(tok) for tok in args.points.split(",")]
-    n = args.grid or 11
+    n = 11 if args.grid is None else args.grid
+    if n < 2:
+        raise ValueError(f"--grid needs at least 2 points, got {n}")
     a, b = space.a, space.b
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
 def cmd_eval(args) -> int:
     space = _load_space(args)
-    bundle = _build(space, args.method)
     points = _parse_points(args, space)
+    bundle = build_matrix(space, args.method)
     coeffs = None
     if args.coeffs:
         with open(args.coeffs) as fh:
@@ -157,7 +152,7 @@ def _experiment_values(name, methods, use_oracle, w):
     """Tables of one highlighted function at the breakpoints."""
     space = preset_space(name)
     fn = HIGHLIGHT_FUNCTION[name]
-    bundles = {m: _build(space, "rki" if m == "greville" else m) for m in methods}
+    bundles = {m: build_matrix(space, _route(m)) for m in methods}
     exact = oracle.exact_bundle(space) if use_oracle else None
     header = ["x"] + [f"value_{m}" for m in methods]
     if exact is not None:
@@ -175,8 +170,8 @@ def _experiment_values(name, methods, use_oracle, w):
 
 
 def _method_error(space, m) -> str:
-    bundle = _build(space, "rki" if m == "greville" else m)
-    exact = _exact_for(space, m)
+    bundle = build_matrix(space, _route(m))
+    exact = build_matrix(space, _exact_route(m), EXACT)
     return _fmt(oracle.matrix_error(bundle.matrix, exact.matrix))
 
 
@@ -198,7 +193,7 @@ def _experiment_table7(methods, w):
 def cmd_experiment(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("greville", "derivative", "rde", "mixed"):
+        if _route(m) not in ROUTES:
             raise SpaceValidationError(f"unknown method {m!r}")
     out = _open_out(args)
     try:
@@ -229,7 +224,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output file (default stdout)")
         if method:
             sp.add_argument("--method", default="rki",
-                            choices=["rki", "rde", "mixed", "derivative"])
+                            choices=ROUTES)
 
     sp = sub.add_parser("validate", help="check a space and report dimensions")
     common(sp, method=False)
@@ -254,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="benchmark table reproduction")
     sp.add_argument("--preset", required=True)
-    sp.add_argument("--methods", default="greville")
+    sp.add_argument("--methods", default=GREVILLE)
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_experiment)

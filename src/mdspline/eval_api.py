@@ -17,12 +17,11 @@ def _band(bundle: Bundle) -> tuple[np.ndarray, np.ndarray]:
     """Per-row first/last nonzero column (0-based) of the order-0 matrix."""
     cached = getattr(bundle, "_band", None)
     if cached is None:
-        m = bundle.matrix
-        lo = np.empty(m.shape[0], dtype=int)
-        hi = np.empty(m.shape[0], dtype=int)
-        for i in range(m.shape[0]):
-            nz = [j for j in range(m.shape[1]) if m[i, j] != 0]
-            lo[i], hi[i] = nz[0], nz[-1]
+        nz = bundle.matrix != 0
+        if not nz.any(axis=1).all():
+            raise NumericalInconsistencyError("the matrix has an all-zero row")
+        lo = nz.argmax(axis=1)
+        hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
         cached = (lo, hi)
         bundle._band = cached
     return cached
@@ -45,11 +44,13 @@ def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
     c0 = ref_vals.first - 1
     c1 = ref_vals.last - 1
     lo, hi = _band(bundle)
-    rows = [i for i in range(bundle.matrix.shape[0]) if lo[i] <= c1 and hi[i] >= c0]
-    assert rows == list(range(rows[0], rows[-1] + 1))
+    rows = np.flatnonzero((lo <= c1) & (hi >= c0))
+    if len(rows) == 0 or rows[-1] - rows[0] + 1 != len(rows):
+        raise NumericalInconsistencyError(
+            f"rows {rows.tolist()} meeting columns {c0}..{c1} are not one band")
     block = bundle.matrix[rows[0]:rows[-1] + 1, c0:c1 + 1]
     vals = block.dot(ref_vals.values)
-    return BasisValues(rows[0] + 1, vals, bundle.space.dimension)
+    return BasisValues(int(rows[0]) + 1, vals, bundle.space.dimension)
 
 
 def eval_spline(bundle: Bundle, coefficients, x, field=None):

@@ -147,7 +147,10 @@ def join_spaces(left: MDSpace, right: MDSpace, k: int, internal=None) -> MDSpace
         left.degrees + right.degrees,
         left.continuities + (k,) + right.continuities,
         internal=internal)
-    assert joined.dimension == left.dimension + right.dimension - 1 - k
+    if joined.dimension != left.dimension + right.dimension - 1 - k:
+        raise NumericalInconsistencyError(
+            f"joined dimension {joined.dimension} != {left.dimension} + "
+            f"{right.dimension} - 1 - {k}")
     return joined
 
 
@@ -182,23 +185,38 @@ class Bundle:
         return self.orders[0].ref
 
 
-@dataclass
-class CellRecord:
+@dataclass(frozen=True)
+class Step:
+    """One bidiagonal step of a build.
+
+    kind is "join" (cr_join), "lower" (rde_build) or "legacy" (legacy_join);
+    at is the seam x of a join or (j, h) of a lowering; (n, k) place the step
+    in the join triangle or the lowering rectangle. The step acts on the level
+    `matrix`, whose reference basis has the integrals `integrals0`; the level
+    it makes is apply_bidiagonal(matrix, coefficients). Step k = 0 of join row
+    n is the C0 gluing: its matrix holds the two operand blocks side by side,
+    and its degenerate window merges their seam rows.
+    """
+    kind: str
+    at: object
     n: int
     k: int
     coefficients: RKICoefficients
+    matrix: np.ndarray
+    integrals0: np.ndarray
 
 
 @dataclass
-class JoinRecord:
-    seam: float
-    r: int
-    left_space: MDSpace
-    right_space: MDSpace
-    cells: list[CellRecord] = dc_field(default_factory=list)
-    matrices: dict = dc_field(default_factory=dict)     # (n, k) -> matrix
-    integrals0: dict = dc_field(default_factory=dict)   # n -> joined C0 integrals
-    operand_integrals: dict = dc_field(default_factory=dict)  # n -> (IN_L, IN_R)
+class Trace:
+    """Opt-in record of every step of one or more builds, in the order run."""
+    steps: list[Step] = dc_field(default_factory=list)
+
+
+def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
+    kl = lo.matrix.shape[0]
+    return Step("join", seam, n, 0, RKICoefficients(kl + 1, kl, (), ()),
+                block_diag(lo.matrix, ro.matrix, field),
+                np.concatenate([lo.integrals0, ro.integrals0]))
 
 
 class LazyIntegrals:
@@ -241,16 +259,16 @@ def rki_window(space11: MDSpace, xj: float) -> int:
     return ell - dright + 1
 
 
-def _check_positive(value, field, what: str):
+def _check_positive(value, field):
     if is_exact(field):
         if value <= 0:
-            raise NumericalInconsistencyError(f"{what} is not positive: {value}")
+            raise NumericalInconsistencyError(f"basis integral is not positive: {value}")
     elif not value > 0.0:
-        raise NumericalInconsistencyError(f"{what} is not positive: {value!r}")
+        raise NumericalInconsistencyError(f"basis integral is not positive: {value!r}")
 
 
 def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
-            record: JoinRecord | None = None) -> Bundle:
+            trace: Trace | None = None) -> Bundle:
     """Join two bundles with continuity r at the seam left.space.b.
 
     Requires operand orders 0..max(r, 1). The result carries orders 0..r, or
@@ -273,6 +291,8 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
     if r == 0:
         l0, r0 = left.orders[0], right.orders[0]
         l1, r1 = left.orders[1], right.orders[1]
+        if trace is not None:
+            trace.steps.append(_glue_step(seam, 0, l0, r0, field))
         orders = {
             0: OrderData(joined,
                          c0_join_matrices(l0.matrix, r0.matrix, field),
@@ -299,14 +319,13 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
         in0[n] = c0_join_integrals(lo.integrals0, ro.integrals0)
         if n < r:
             op_in[n] = (lo.integrals, ro.integrals)
-
-    if record is not None:
-        record.integrals0.update(in0)
-        record.operand_integrals.update(op_in)
+        if trace is not None:
+            trace.steps.append(_glue_step(seam, n, lo, ro, field))
 
     check = rki_window(join_spaces(left.orders[r - 1].space,
                                    right.orders[r - 1].space, 1), seam)
-    assert check == ibstart, f"window start {check} != {ibstart}"
+    if check != ibstart:
+        raise NumericalInconsistencyError(f"window start {check} != {ibstart}")
 
     lazy: dict[tuple[int, int], LazyIntegrals] = {}
 
@@ -335,19 +354,16 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
                     vec = integrals(n - 1, k - 2)
                     num_a, num_b = vec.value(i - 1), vec.value(i)
                 den = den_vec.value(i - 1)
-                _check_positive(den, field, "basis integral")
+                _check_positive(den, field)
                 alphas.append(a_prev * num_a / den)
                 betas.append(b_prev * num_b / den)
             co = make_coefficients(ib, ie, alphas, betas, field)
             alpha_count += co.nontrivial_count
             mats[(n, k)] = apply_bidiagonal(mats[(n, k - 1)], co, field)
             cur_coeffs[k] = co
-            if record is not None:
-                record.cells.append(CellRecord(n, k, co))
+            if trace is not None:
+                trace.steps.append(Step("join", seam, n, k, co, mats[(n, k - 1)], in0[n]))
         prev_coeffs = cur_coeffs
-
-    if record is not None:
-        record.matrices.update(mats)
 
     orders = {}
     for n in range(r + 1):

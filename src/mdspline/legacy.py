@@ -3,34 +3,22 @@
 The stable construction never subtracts; this older formulation obtains each
 continuity-raising coefficient from one-sided derivative jumps of the current
 basis at the seam, which cancel catastrophically as the derivative order
-grows. It is exposed behind the same assembly interface so both routes can be
-run on identical spaces and their algorithmic errors compared.
+grows. `legacy_join` has the signature of `cr_join`, so the one assembler runs
+it as the "derivative" route on the same plan, and both routes can be run on
+identical spaces and their algorithmic errors compared.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from ._scalars import FLOAT, is_exact
 from .c0_engine import build_layout, eval_c0_derivatives
 from .errors import NumericalInconsistencyError
-from .join_core import (Bundle, OrderData, RKICoefficients, apply_bidiagonal,
-                        c0_join_integrals, c0_join_matrices, join_spaces)
+from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
+                        apply_bidiagonal, c0_join_integrals, c0_join_matrices,
+                        join_spaces)
 from .spaces import MDSpace
-
-
-@dataclass
-class LegacyStepRecord:
-    seam: float
-    k: int
-    coefficients: RKICoefficients
-
-
-@dataclass
-class LegacyRecord:
-    steps: list[LegacyStepRecord] = dc_field(default_factory=list)
 
 
 def _jump(matrix: np.ndarray, ref: MDSpace, layout, i: int, x, order: int, field):
@@ -68,9 +56,10 @@ def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
 
 
 def legacy_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
-                record: LegacyRecord | None = None) -> Bundle:
+                trace: Trace | None = None) -> Bundle:
     """Join two order-0 bundles with continuity r, one seam derivative order
-    at a time."""
+    at a time. Step k is recorded as cell (r, k) of a join triangle: the
+    bottom-row cell of cr_join that computes the same coefficients."""
     l0, r0 = left.orders[0], right.orders[0]
     seam = left.space.b
     kl = l0.matrix.shape[0]
@@ -79,29 +68,10 @@ def legacy_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
     in0 = c0_join_integrals(l0.integrals0, r0.integrals0)
     for k in range(1, r + 1):
         co = alpha_via_derivatives(matrix, ref, seam, k, kl - k + 1, kl, field)
+        if trace is not None:
+            trace.steps.append(Step("legacy", seam, r, k, co, matrix, in0))
         matrix = apply_bidiagonal(matrix, co, field)
-        if record is not None:
-            record.steps.append(LegacyStepRecord(seam, k, co))
     joined = join_spaces(left.space, right.space, r)
     orders = {0: OrderData(joined, matrix, ref, in0)}
     count = left.alpha_count + right.alpha_count + r
     return Bundle(joined, orders, field, count, "derivative")
-
-
-def build_matrix_derivative(space: MDSpace, field=FLOAT,
-                            record: LegacyRecord | None = None) -> Bundle:
-    """Full-space assembly using the derivative-jump coefficients."""
-    from .join_core import section_bundle
-
-    dec = space.section_decomposition()
-    units = [section_bundle(s, field) for s in dec.sections]
-    seams = sorted(dec.join_order, key=lambda j: (-j.continuity, j.index))
-    blocks = list(units)
-    for jn in seams:
-        pos = next(i for i, b in enumerate(blocks) if b.space.b == jn.x)
-        merged = legacy_join(blocks[pos], blocks[pos + 1], jn.continuity, field, record)
-        blocks[pos:pos + 2] = [merged]
-    assert len(blocks) == 1
-    out = blocks[0]
-    out.strategy = "derivative"
-    return out

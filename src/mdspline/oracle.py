@@ -6,7 +6,8 @@ error is the final conversion of an exact difference to a double. Three
 identities that must hold exactly in rational arithmetic double as algorithm
 cross-checks: the integral-ratio coefficients against the abscissa-difference
 quotients, the same coefficients against the derivative-jump route, and, on
-conventional spaces, against the classical single-knot insertion weights.
+conventional spaces, against the classical single-knot insertion weights. The
+first two read the steps of exact builds from a `Trace`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._scalars import EXACT
-from .assembler import BuildRecord, build_matrix_rki
+from .assembler import DERIVATIVE, RKI, build_matrix, build_matrix_rki
 from .errors import NumericalInconsistencyError
 from .eval_api import eval_basis
-from .join_core import Bundle, JoinRecord, c0_join_integrals
-from .legacy import LegacyRecord, build_matrix_derivative
+from .join_core import Bundle, Trace, apply_bidiagonal
 from .spaces import MDSpace
 
 
@@ -64,37 +64,42 @@ def eval_exact(bundle: Bundle, x) -> np.ndarray:
     return w.scatter()
 
 
-def _prefix_abscissae(a: Fraction, integrals) -> list[Fraction]:
-    out = [a]
+def _prefix_abscissae(integrals) -> list[Fraction]:
+    out = [Fraction(0)]
     for v in integrals:
         out.append(out[-1] + v)
     return out
 
 
-def abscissa_crosscheck(record: JoinRecord) -> int:
-    """Verify every join coefficient against the abscissa-difference formula.
+def _join_steps(trace: Trace, kind: str = "join") -> dict:
+    return {(s.at, s.n, s.k): s for s in trace.steps if s.kind == kind}
 
-    For the cell at row n, column k, the pre and post abscissae follow from
-    the integral vectors one row down at columns k-2 and k-1; column -1 is the
-    unmerged concatenation of the operand integrals. Exact equality or raise.
+
+def abscissa_crosscheck(trace: Trace) -> int:
+    """Verify every join coefficient of an exact build against the
+    abscissa-difference formula.
+
+    Cell (n, k) of a join reads the abscissae before and after step
+    (n - 1, k - 1) of the same join: prefix sums of the integrals of the level
+    that step acts on and of the level it makes. Before step (n - 1, 0), the C0
+    gluing, the operand blocks still stand side by side. The abscissae start at
+    0, which cancels in the formula. Exact equality or raise.
     """
-    a = Fraction(record.left_space.a)
+    steps = _join_steps(trace)
     checked = 0
-    for cell in record.cells:
-        n, k, co = cell.n, cell.k, cell.coefficients
-        if k == 1:
-            inl, inr = record.operand_integrals[n - 1]
-            pre = np.concatenate([inl, inr])
-        else:
-            pre = record.matrices[(n - 1, k - 2)].dot(record.integrals0[n - 1])
-        post = record.matrices[(n - 1, k - 1)].dot(record.integrals0[n - 1])
-        xi_hat = _prefix_abscissae(a, pre)
-        xi = _prefix_abscissae(a, post)
+    for (x, n, k), step in steps.items():
+        if k == 0:
+            continue
+        below = steps[(x, n - 1, k - 1)]
+        pre = below.matrix.dot(below.integrals0)
+        post = apply_bidiagonal(pre[:, None], below.coefficients, EXACT)[:, 0]
+        xi_hat, xi = _prefix_abscissae(pre), _prefix_abscissae(post)
+        co = step.coefficients
         for i in range(co.ib, co.ie + 1):
             expected = (xi_hat[i - 1] - xi[i - 2]) / (xi[i - 1] - xi[i - 2])
             if co.alpha(i) != expected:
                 raise NumericalInconsistencyError(
-                    f"cell ({n},{k}) alpha_{i}: {co.alpha(i)} != {expected}")
+                    f"seam {x} cell ({n},{k}) alpha_{i}: {co.alpha(i)} != {expected}")
             checked += 1
     return checked
 
@@ -102,32 +107,26 @@ def abscissa_crosscheck(record: JoinRecord) -> int:
 def greville_crosscheck(space: MDSpace) -> int:
     """Exact build of `space`; every coefficient of every join must match the
     abscissa-difference formula. Returns the number checked."""
-    record = BuildRecord.empty()
-    build_matrix_rki(space, EXACT, record)
-    return sum(abscissa_crosscheck(jr) for jr in record.joins)
+    trace = Trace()
+    build_matrix(space, RKI, EXACT, trace)
+    return abscissa_crosscheck(trace)
 
 
 def derivative_formula_crosscheck(space: MDSpace) -> int:
     """Exact equality of the derivative-jump route with the integral-ratio
     route: final matrices and every bottom-row coefficient."""
-    record = BuildRecord.empty()
-    stable = build_matrix_rki(space, EXACT, record)
-    lrecord = LegacyRecord()
-    legacy = build_matrix_derivative(space, EXACT, lrecord)
+    trace, ltrace = Trace(), Trace()
+    stable = build_matrix(space, RKI, EXACT, trace)
+    legacy = build_matrix(space, DERIVATIVE, EXACT, ltrace)
     if not np.array_equal(stable.matrix, legacy.matrix):
         raise NumericalInconsistencyError("routes disagree on the final matrix")
-    bottom = {}
-    for jr in record.joins:
-        for cell in jr.cells:
-            if cell.n == jr.r:
-                bottom[(jr.seam, cell.k)] = cell.coefficients
+    joins = _join_steps(trace)
     checked = 0
-    for step in lrecord.steps:
-        co = bottom[(step.seam, step.k)]
-        ref = step.coefficients
+    for key, step in _join_steps(ltrace, "legacy").items():
+        co, ref = joins[key].coefficients, step.coefficients
         if (co.ib, co.ie) != (ref.ib, ref.ie) or co.alphas != ref.alphas:
             raise NumericalInconsistencyError(
-                f"routes disagree at seam {step.seam}, order {step.k}: "
+                f"routes disagree at seam {step.at}, order {step.k}: "
                 f"{ref.alphas} != {co.alphas}")
         checked += len(ref.alphas)
     return checked

@@ -14,35 +14,15 @@ integrals, which reintroduces cancellation and exists for comparison only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-import numpy as np
-
-from ._scalars import FLOAT, eye, is_exact
+from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError
-from .join_core import (Bundle, LazyIntegrals, OrderData, RKICoefficients,
-                        apply_bidiagonal, make_coefficients)
+from .join_core import (Bundle, LazyIntegrals, OrderData, RKICoefficients, Step,
+                        Trace, _check_positive, apply_bidiagonal, make_coefficients)
 from .spaces import MDSpace
 
 RATIO = "ratio"
 DIFFERENCE = "difference"
-
-
-@dataclass
-class StepRecord:
-    n: int
-    j: int
-    h: int
-    cells: dict = dc_field(default_factory=dict)   # level k -> RKICoefficients
-
-
-@dataclass
-class RDERecord:
-    space: MDSpace
-    r: int = 0
-    mode: str = RATIO
-    steps: list[StepRecord] = dc_field(default_factory=list)
 
 
 def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
@@ -76,16 +56,8 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
     return RKICoefficients(min(ib_raw, ie + 2), ie, (), ())
 
 
-def _check_positive(value, field):
-    if is_exact(field):
-        if value <= 0:
-            raise NumericalInconsistencyError(f"basis integral not positive: {value}")
-    elif not value > 0.0:
-        raise NumericalInconsistencyError(f"basis integral not positive: {value!r}")
-
-
 def rde_build(space: MDSpace, field=FLOAT, mode: str = RATIO, min_orders: int = 1,
-              record: RDERecord | None = None) -> Bundle:
+              trace: Trace | None = None) -> Bundle:
     """Bundle representing `space` over uniform-degree references.
 
     Emits derivative orders 0..r-1 where r = max(2, max degree - 1,
@@ -101,8 +73,6 @@ def rde_build(space: MDSpace, field=FLOAT, mode: str = RATIO, min_orders: int = 
         r = max(2, m - 1, min_orders + 1)
     else:
         r = max(2, max(space.continuities, default=1), min_orders + 1)
-    if record is not None:
-        record.r, record.mode = r, mode
 
     uniform = [m] * (space.q + 1)
     refs = {k: level_space(space, uniform, r - k) for k in range(1, r + 1)}
@@ -157,17 +127,20 @@ def rde_build(space: MDSpace, field=FLOAT, mode: str = RATIO, min_orders: int = 
                     betas.append(beta)
                 co = make_coefficients(ib, ie, alphas, betas, field)
                 alpha_count += co.nontrivial_count
+            if trace is not None:
+                trace.steps.append(Step("lower", (j, h), n, k, co, mats[k], in_ref[k]))
             mats[k] = apply_bidiagonal(mats[k], co, field)
             lazy_new[k] = LazyIntegrals(mats[k], in_ref[k])
             coeffs[k] = co
         lazy = lazy_new
-        if record is not None:
-            record.steps.append(StepRecord(n, j, h, dict(coeffs)))
 
     orders = {}
     for rho in range(r):
         k = r - rho
         sp = space.derivative_space(rho) if rho else space
-        assert mats[k].shape == (sp.dimension, refs[k].dimension)
+        if mats[k].shape != (sp.dimension, refs[k].dimension):
+            raise NumericalInconsistencyError(
+                f"order {rho} matrix has shape {mats[k].shape}, expected "
+                f"{(sp.dimension, refs[k].dimension)}")
         orders[rho] = OrderData(sp, mats[k], refs[k], in_ref[k])
     return Bundle(space, orders, field, alpha_count, "rde")

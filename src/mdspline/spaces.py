@@ -169,8 +169,7 @@ class MDSpace:
                          for j0, j1 in zip(boundaries, boundaries[1:]))
         joins = tuple(JoinSpec(index=i, x=self.xs[i], continuity=self.continuities[i - 1])
                       for i in boundaries[1:-1])
-        order = tuple(sorted(joins, key=lambda jn: (-jn.continuity, jn.index)))
-        return SectionDecomposition(self, tuple(boundaries), sections, order)
+        return SectionDecomposition(self, tuple(boundaries), sections, joins)
 
     def restrict(self, j0: int, j1: int) -> "MDSpace":
         """Sub-space covering intervals j0..j1-1 (public restriction)."""
@@ -226,12 +225,12 @@ class SectionDecomposition:
     space: MDSpace
     boundaries: tuple[int, ...]        # 0 = j_0 < j_1 < ... < j_{v+1} = q+1
     sections: tuple[MDSpace, ...]      # one conventional space per section
-    join_order: tuple[JoinSpec, ...]   # decreasing continuity, ties left first
+    joins: tuple[JoinSpec, ...]        # left to right; joins[i] separates sections i, i + 1
 
     @property
-    def joins(self) -> tuple[JoinSpec, ...]:
-        """Seams left to right; joins[i] separates sections i and i + 1."""
-        return tuple(sorted(self.join_order, key=lambda jn: jn.index))
+    def join_order(self) -> tuple[JoinSpec, ...]:
+        """Seams by decreasing continuity, ties left first."""
+        return tuple(sorted(self.joins, key=lambda jn: (-jn.continuity, jn.index)))
 
     def section_of_interval(self, j: int) -> int:
         for h in range(len(self.sections)):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mdspline import MDSpace
+from mdspline.join_core import apply_bidiagonal
 
 
 def random_space(seed: int, max_breakpoints: int = 8, max_degree: int = 12) -> MDSpace:
@@ -25,6 +26,13 @@ def random_space(seed: int, max_breakpoints: int = 8, max_degree: int = 12) -> M
                   for i in range(q))
     return MDSpace.create((float(knots[0]), float(knots[-1])),
                           tuple(float(v) for v in knots[1:-1]), degrees, conts)
+
+
+def join_levels(trace, field):
+    """(n, k) -> (level matrix, reference integrals) made by each join cell
+    of a trace."""
+    return {(s.n, s.k): (apply_bidiagonal(s.matrix, s.coefficients, field), s.integrals0)
+            for s in trace.steps if s.kind == "join" and s.k > 0}
 
 
 @pytest.fixture

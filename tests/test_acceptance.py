@@ -12,11 +12,10 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from conftest import random_space
-from mdspline import (EXACT, FLOAT, MDSpace, build_matrix, build_matrix_derivative,
+from conftest import join_levels, random_space
+from mdspline import (EXACT, FLOAT, MDSpace, Trace, build_matrix, build_matrix_derivative,
                       build_matrix_rki, cr_join, eval_basis, eval_spline, greville,
                       insert_knot_coeffs, oracle, section_bundle)
-from mdspline.join_core import JoinRecord
 from mdspline.presets import PRESETS, TABLE7_RANGE, preset_space, table7
 
 _EXACT = {}
@@ -48,27 +47,31 @@ M33 = [[1, 0, 0, 0, 0, 0, 0, 0],
 def worked_join(field):
     left = section_bundle(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
     right = section_bundle(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
-    rec = JoinRecord(3.0, 3, left.space, right.space)
-    return cr_join(left, right, 3, field, rec), rec
+    trace = Trace()
+    return cr_join(left, right, 3, field, trace), trace
 
 
 def test_criterion_1_exact_join_goldens():
     t0 = time.perf_counter()
-    exact, rec = worked_join(EXACT)
+    exact, trace = worked_join(EXACT)
     cells = {}
-    for c in rec.cells:
-        ib = c.coefficients.window[0]
-        cells[(c.n, c.k)] = {ib + o: a for o, a in enumerate(c.coefficients.alphas)}
+    for s in trace.steps:
+        ib = s.coefficients.window[0]
+        if s.k:     # k = 0 is the C0 gluing, which computes no coefficient
+            cells[(s.n, s.k)] = {ib + o: a for o, a in enumerate(s.coefficients.alphas)}
     ok = (cells[(1, 1)][3] == F(1, 3) and cells[(2, 1)][4] == F(2, 5)
           and cells[(2, 2)][3] == F(3, 8) and cells[(2, 2)][4] == F(5, 14))
 
+    levels = join_levels(trace, EXACT)
+
     def iv(n, k):
-        return list(rec.matrices[(n, k)].dot(rec.integrals0[n]))
+        matrix, integrals0 = levels[(n, k)]
+        return list(matrix.dot(integrals0))
 
     ok = ok and iv(1, 1) == [F(1, 3), F(8, 9), F(7, 9)]
     ok = ok and iv(2, 2) == [F(1, 4), F(5, 8), F(33, 56), F(15, 28)]
-    ok = ok and rec.matrices[(2, 2)].tolist() == M22
-    ok = ok and rec.matrices[(3, 3)].tolist() == M33
+    ok = ok and levels[(2, 2)][0].tolist() == M22
+    ok = ok and levels[(3, 3)][0].tolist() == M33
     dbl, _ = worked_join(FLOAT)
     gap = np.abs(dbl.matrix - np.array(exact.matrix, dtype=float)).max()
     ok = ok and gap <= 1e-15

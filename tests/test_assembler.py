@@ -1,4 +1,4 @@
-"""Full-space assembly: strategy dispatch, pairwise join order, plans.
+"""Full-space assembly: route dispatch, pairwise join order, plans, traces.
 
 The complete matrix of (2_1 2_2 4_3 3) on [0, 4] is frozen from the exact
 build; the rationals of its harder half are pinned in test_join_core, and the
@@ -10,10 +10,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import (EXACT, FLOAT, MDSpace, UnsupportedSpaceError, build_matrix,
-                      build_matrix_mixed, build_matrix_rde, build_matrix_rki,
-                      eval_basis)
-from mdspline.assembler import BuildRecord, auto_plan, join_cost, rde_cost
+from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build_matrix,
+                      build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
+                      build_matrix_rki, eval_basis)
+from mdspline.assembler import auto_plan, join_cost, rde_cost
 from mdspline.presets import table7
 
 
@@ -31,20 +31,27 @@ FULL_MATRIX = [
 ]
 
 
+def joins_in_order(trace):
+    """(seam, r) per join, in the order the joins ran."""
+    rows = {}
+    for s in trace.steps:
+        rows[s.at] = max(rows.get(s.at, 0), s.n)
+    return list(rows.items())
+
+
 def test_full_build_exact():
-    rec = BuildRecord.empty()
-    bundle = build_matrix_rki(worked_space(), EXACT, rec)
+    trace = Trace()
+    bundle = build_matrix_rki(worked_space(), EXACT, trace)
     assert bundle.matrix.tolist() == FULL_MATRIX
     assert bundle.alpha_count == 14
-    assert [(j.seam, j.r) for j in rec.joins] == [(3.0, 3), (2.0, 2)]
+    assert joins_in_order(trace) == [(3.0, 3), (2.0, 2)]
 
 
 def test_second_join_cells():
-    rec = BuildRecord.empty()
-    build_matrix_rki(worked_space(), EXACT, rec)
-    second = rec.joins[1]
-    got = {(c.n, c.k): (c.coefficients.window, c.coefficients.alphas)
-           for c in second.cells}
+    trace = Trace()
+    build_matrix_rki(worked_space(), EXACT, trace)
+    got = {(s.n, s.k): (s.coefficients.window, s.coefficients.alphas)
+           for s in trace.steps if s.at == 2.0}
     assert got[(1, 1)] == ((3, 3), (F(3, 4),))
     assert got[(2, 1)] == ((4, 4), (F(2, 3),))
     assert got[(2, 2)] == ((3, 4), (F(16, 19), F(9, 19)))
@@ -113,12 +120,21 @@ def test_mixed_explicit_plan():
 
 
 def test_mixed_groups_are_recorded():
-    rec = BuildRecord.empty()
+    trace = Trace()
     sp = table7(15)
-    bundle = build_matrix_mixed(sp, FLOAT, record=rec)
+    bundle = build_matrix_mixed(sp, FLOAT, trace=trace)
     assert bundle.strategy == "mixed"
-    assert len(rec.rde_runs) == 1 and rec.rde_runs[0].space == sp
-    assert rec.joins == []
+    # one lowering sweep over the whole space: one step, 19 -> 20 on interval 0
+    assert {(s.kind, s.at, s.n) for s in trace.steps} == {("lower", (0, 19), 1)}
+    assert bundle.orders[0].ref.degrees == (20, 20)
+
+
+def test_one_section_rde_is_the_section_bundle():
+    sp = MDSpace.create((0.0, 2.0), (1.0,), (3, 3), (1,))
+    bundle = build_matrix_rde(sp, FLOAT)
+    assert bundle.strategy == "rde" and bundle.alpha_count == 0
+    assert np.array_equal(bundle.matrix, np.eye(sp.dimension))
+    assert set(bundle.orders) == {0, 1, 2, 3}
 
 
 def test_rde_rejects_degree_zero_sections():
@@ -135,8 +151,22 @@ def test_dispatcher():
     assert build_matrix(sp).strategy == "rki"
     assert build_matrix(sp, "rde").strategy == "rde"
     assert build_matrix(sp, "mixed").strategy == "mixed"
+    assert build_matrix(sp, "derivative").strategy == "derivative"
     with pytest.raises(ValueError):
         build_matrix(sp, "newton")
+
+
+def test_routes_share_the_join_order():
+    # rki, derivative and an all-rki plan run the same seams in the same order
+    sp = worked_space()
+    order = {}
+    for route in ("rki", "derivative", "mixed"):
+        trace = Trace()
+        build_matrix(sp, route, EXACT, trace, plan=["rki"] * 3)
+        order[route] = [s.at for s in trace.steps if s.k == 1]
+    assert order["rki"] == order["mixed"] == [3.0, 3.0, 3.0, 2.0, 2.0]
+    assert order["derivative"] == [3.0, 2.0]
+    assert build_matrix_derivative(sp, EXACT).matrix.tolist() == FULL_MATRIX
 
 
 def test_alpha_counts_by_strategy():

@@ -159,3 +159,26 @@ def test_matrix_out_file(capsys, tmp_path):
 def test_preset_listing_on_error(capsys):
     rc, _, err = run(capsys, "validate", "--preset", "nope")
     assert rc == 1 and "cox" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_eval_grid_below_two_is_an_input_error(capsys, grid):
+    rc, out, err = run(capsys, "eval", "--preset", "test1", "--grid", grid)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "--grid" in err and "Traceback" not in err
+
+
+def test_eval_grid_two_gives_the_endpoints(capsys):
+    rc, out, _ = run(capsys, "eval", "--preset", "test1", "--grid", "2")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [float(r[0]) for r in rows[1:]] == [-10000.0, 10000.0]
+
+
+def test_experiment_accepts_route_names(capsys):
+    rc, out, _ = run(capsys, "experiment", "--preset", "test6",
+                     "--methods", "rki,greville")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    errs = {r[0]: r[1] for r in rows[1:]}
+    assert errs["rki"] == errs["greville"] and float(errs["rki"]) <= 5e-14

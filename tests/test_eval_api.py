@@ -13,6 +13,7 @@ import pytest
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       UnsupportedSpaceError, build_matrix_rki, eval_basis,
                       eval_spline, greville, insert_knot_coeffs)
+from mdspline.join_core import Bundle, OrderData
 from mdspline.presets import preset_space
 
 # highlighted function values at the interior breakpoints, N_5 of test1
@@ -154,3 +155,16 @@ def test_eval_exact_field_on_float_bundle():
     bundle = build_matrix_rki(sp, EXACT)
     v = eval_basis(bundle, F(1, 2))
     assert sum(v.values) == 1
+
+
+def test_eval_rejects_a_split_row_band():
+    # rows 1 and 3 meet the hats on [0, 1], row 2 lies on [1, 2] only
+    ref = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,))
+    matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    bundle = Bundle(ref, {0: OrderData(ref, matrix, ref, np.array([0.5, 1.0, 0.5]))})
+    with pytest.raises(NumericalInconsistencyError):
+        eval_basis(bundle, 0.5)
+    zero_row = Bundle(ref, {0: OrderData(ref, np.eye(3) * [[1], [0], [1]], ref,
+                                         np.array([0.5, 1.0, 0.5]))})
+    with pytest.raises(NumericalInconsistencyError):
+        eval_basis(zero_row, 0.5)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdspline import EXACT, FLOAT, MDSpace, NumericalInconsistencyError, cr_join, section_bundle
-from mdspline.join_core import (JoinRecord, RKICoefficients, apply_bidiagonal,
+from conftest import join_levels
+from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, Trace, cr_join,
+                      section_bundle)
+from mdspline.join_core import (RKICoefficients, apply_bidiagonal,
                                 c0_join_integrals, c0_join_matrices,
                                 join_spaces, make_coefficients)
 
@@ -100,14 +102,14 @@ def test_join_spaces_dimensions():
 def first_join(field):
     left = section_bundle(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
     right = section_bundle(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
-    rec = JoinRecord(3.0, 3, left.space, right.space)
-    return cr_join(left, right, 3, field, rec), rec
+    trace = Trace()
+    return cr_join(left, right, 3, field, trace), trace
 
 
 def test_first_join_cell_fractions():
-    _, rec = first_join(EXACT)
-    got = {(c.n, c.k): (c.coefficients.window, c.coefficients.alphas)
-           for c in rec.cells}
+    _, trace = first_join(EXACT)
+    got = {(s.n, s.k): (s.coefficients.window, s.coefficients.alphas)
+           for s in trace.steps}
     assert got[(1, 1)] == ((3, 3), (F(1, 3),))
     assert got[(2, 1)] == ((4, 4), (F(2, 5),))
     assert got[(2, 2)] == ((3, 4), (F(3, 8), F(5, 14)))
@@ -116,30 +118,44 @@ def test_first_join_cell_fractions():
     assert got[(3, 3)] == ((3, 5), (F(2, 5), F(21, 55), F(17, 45)))
 
 
+def test_first_join_gluing_steps():
+    # k = 0 of row n sets the order 3 - n operand blocks side by side and
+    # merges the last left row with the first right row
+    _, trace = first_join(EXACT)
+    glue = {s.n: s for s in trace.steps if s.k == 0}
+    assert sorted(glue) == [0, 1, 2, 3]
+    assert [glue[n].coefficients.window for n in range(4)] == \
+        [(3, 2), (4, 3), (5, 4), (6, 5)]
+    assert [glue[n].matrix.shape for n in range(4)] == [(3, 3), (5, 5), (7, 7), (9, 9)]
+    assert all(s.at == 3.0 and s.kind == "join" for s in trace.steps)
+
+
 def test_first_join_integral_vectors():
-    _, rec = first_join(EXACT)
+    levels = join_levels(first_join(EXACT)[1], EXACT)
+
     def iv(n, k):
-        return list(rec.matrices[(n, k)].dot(rec.integrals0[n]))
+        matrix, integrals0 = levels[(n, k)]
+        return list(matrix.dot(integrals0))
     assert iv(1, 1) == [F(1, 3), F(8, 9), F(7, 9)]
     assert iv(2, 1) == [F(1, 4), F(1, 4), F(3, 5), F(17, 30), F(1, 3)]
     assert iv(2, 2) == [F(1, 4), F(5, 8), F(33, 56), F(15, 28)]
 
 
 def test_first_join_matrices():
-    _, rec = first_join(EXACT)
+    levels = join_levels(first_join(EXACT)[1], EXACT)
     m11 = [[1, 0, 0, 0], [0, 1, F(2, 3), 0], [0, 0, F(1, 3), 1]]
-    assert rec.matrices[(1, 1)].tolist() == m11
+    assert levels[(1, 1)][0].tolist() == m11
     m22 = [[1, 0, 0, 0, 0, 0],
            [0, 1, F(5, 8), F(3, 8), 0, 0],
            [0, 0, F(3, 8), F(27, 56), F(9, 14), 0],
            [0, 0, 0, F(1, 7), F(5, 14), 1]]
-    assert rec.matrices[(2, 2)].tolist() == m22
+    assert levels[(2, 2)][0].tolist() == m22
     m33 = [[1, 0, 0, 0, 0, 0, 0, 0],
            [0, 1, F(3, 5), F(7, 20), F(1, 5), 0, 0, 0],
            [0, 0, F(2, 5), F(27, 55), F(24, 55), F(4, 11), 0, 0],
            [0, 0, 0, F(7, 44), F(49, 165), F(238, 495), F(28, 45), 0],
            [0, 0, 0, 0, F(1, 15), F(7, 45), F(17, 45), 1]]
-    assert rec.matrices[(3, 3)].tolist() == m33
+    assert levels[(3, 3)][0].tolist() == m33
 
 
 def test_first_join_float_matches_exact():
@@ -176,8 +192,8 @@ def test_alpha_count_formula():
 
 
 def test_pair_sums_exact():
-    _, rec = first_join(EXACT)
-    for cell in rec.cells:
-        co = cell.coefficients
+    _, trace = first_join(EXACT)
+    for step in trace.steps:
+        co = step.coefficients
         assert all(a + b == 1 for a, b in zip(co.alphas, co.betas))
         assert all(0 < a <= 1 for a in co.alphas)

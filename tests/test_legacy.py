@@ -9,19 +9,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
+from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, Trace,
                       build_matrix_derivative, build_matrix_rki)
-from mdspline.legacy import LegacyRecord, alpha_via_derivatives
+from mdspline.legacy import alpha_via_derivatives
 from mdspline.oracle import matrix_error, exact_bundle
 from mdspline.presets import preset_space
 
 
 def test_single_step_by_hand():
     sp = MDSpace.create((2.0, 4.0), (3.0,), (2, 1), (1,))
-    rec = LegacyRecord()
-    bundle = build_matrix_derivative(sp, EXACT, record=rec)
-    (step,) = rec.steps
-    assert (step.seam, step.k) == (3.0, 1)
+    trace = Trace()
+    bundle = build_matrix_derivative(sp, EXACT, trace=trace)
+    (step,) = trace.steps
+    assert (step.kind, step.at, step.n, step.k) == ("legacy", 3.0, 1, 1)
     assert step.coefficients.window == (3, 3)
     assert step.coefficients.alphas == (F(1, 3),)
     stable = build_matrix_rki(sp, EXACT)

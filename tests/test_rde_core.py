@@ -11,10 +11,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import EXACT, FLOAT, MDSpace
-from mdspline.join_core import LazyIntegrals
-from mdspline.rde_core import (DIFFERENCE, RATIO, RDERecord, level_space,
-                               rde_build, rde_schedule, window_bounds)
+from mdspline import EXACT, FLOAT, MDSpace, Trace
+from mdspline.join_core import LazyIntegrals, apply_bidiagonal
+from mdspline.rde_core import (DIFFERENCE, RATIO, level_space, rde_build, rde_schedule,
+                               window_bounds)
 
 
 def stepped():
@@ -38,10 +38,12 @@ def test_level_space_uniform_drop():
 
 def test_step_windows_by_hand():
     sp = stepped()
-    rec = RDERecord(space=sp)
-    rde_build(sp, EXACT, mode=DIFFERENCE, record=rec)
-    assert rec.r == 2 and rec.mode == DIFFERENCE
-    windows = {(st.n, k): c.window for st in rec.steps for k, c in st.cells.items()}
+    trace = Trace()
+    bundle = rde_build(sp, EXACT, mode=DIFFERENCE, trace=trace)
+    assert len(bundle.orders) == 2      # r = 2: orders 0 .. r - 1
+    assert [(s.at, s.n) for s in trace.steps if s.k == 1] == \
+        [((1, 3), 1), ((1, 2), 2), ((2, 3), 3)]
+    windows = {(s.n, s.k): s.coefficients.window for s in trace.steps}
     assert windows[(1, 1)] == (4, 5)
     assert windows[(1, 2)] == (4, 6)
     assert windows[(2, 1)] == (4, 4)
@@ -60,10 +62,16 @@ def test_highest_derivative_windows_by_hand():
 
 
 def test_ratio_mode_defaults():
-    rec = RDERecord(space=stepped())
-    bundle = rde_build(stepped(), EXACT, mode=RATIO, record=rec)
-    assert rec.r == 3  # max degree - 1
+    trace = Trace()
+    bundle = rde_build(stepped(), EXACT, mode=RATIO, trace=trace)
+    assert len(bundle.orders) == 3  # r = max degree - 1
     assert set(bundle.orders) == {0, 1, 2}
+    assert {s.k for s in trace.steps} == {1, 2, 3}
+    # each step acts on the level its predecessor made
+    made = [apply_bidiagonal(s.matrix, s.coefficients, EXACT) for s in trace.steps]
+    for level, after in zip(made, trace.steps[3:]):
+        assert np.array_equal(level, after.matrix)
+    assert np.array_equal(made[-1], bundle.matrix)
     assert bundle.orders[0].ref.degrees == (4, 4, 4)
     assert bundle.orders[0].ref.continuities == stepped().continuities
     assert bundle.matrix.shape == (7, 10)

@@ -90,6 +90,7 @@ def test_section_decomposition():
         "(2_1 2) on [0.0, 2.0]", "(4) on [2.0, 3.0]", "(3) on [3.0, 4.0]"]
     assert [(j.x, j.continuity) for j in dec.join_order] == [(3.0, 3), (2.0, 2)]
     assert [(j.x, j.continuity) for j in dec.joins] == [(2.0, 2), (3.0, 3)]
+    assert dec.joins is dec.joins
     assert dec.section_of_interval(0) == dec.section_of_interval(1) == 0
     assert dec.section_of_interval(3) == 2
 
