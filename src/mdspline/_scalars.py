@@ -42,11 +42,3 @@ def eye(n: int, field) -> np.ndarray:
         return arr
     return np.eye(n, dtype=np.float64)
 
-
-def asarray(values, field) -> np.ndarray:
-    if field is Fraction:
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = v if isinstance(v, Fraction) else Fraction(v)
-        return arr
-    return np.asarray([float(v) for v in values], dtype=np.float64)

@@ -17,7 +17,7 @@ from ._scalars import FLOAT
 from .errors import NumericalInconsistencyError, UnsupportedSpaceError
 from .join_core import Bundle, Trace, cr_join, section_bundle
 from .legacy import legacy_join
-from .rde_core import RATIO, level_space, rde_build, rde_schedule, window_bounds
+from .rde_core import level_space, lowering_depth, rde_build, rde_schedule, window_bounds
 from .spaces import MDSpace
 
 RKI = "rki"
@@ -27,11 +27,10 @@ DERIVATIVE = "derivative"
 
 
 def rde_cost(space: MDSpace, min_orders: int = 1) -> int:
-    """Nontrivial coefficient count of a ratio-mode sweep over `space`."""
-    m = max(space.degrees)
-    r = max(2, m - 1, min_orders + 1)
+    """Nontrivial coefficient count of `rde_build(space, min_orders=min_orders)`."""
+    r = lowering_depth(space, min_orders)
     total = 0
-    degrees = [m] * (space.q + 1)
+    degrees = [max(space.degrees)] * (space.q + 1)
     for j, h in rde_schedule(space):
         degrees[j] = h
         for k in range(1, r + 1):
@@ -124,7 +123,7 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
             continue
         need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
         sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
-        blocks.append(rde_build(sub, field, RATIO, max(need, default=1), trace))
+        blocks.append(rde_build(sub, field, max(need, default=1), trace))
     join = legacy_join if route == DERIVATIVE else cr_join
     seams = sorted((dec.joins[hi] for _, hi in groups[:-1]),
                    key=lambda jn: (-jn.continuity, jn.index))

@@ -11,11 +11,10 @@ come from ratios of basis integrals only; no subtraction is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, eye, is_exact
+from ._scalars import FLOAT, dtype_of, eye, is_exact, zeros
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError, UnsupportedSpaceError
 from .spaces import MDSpace
@@ -84,18 +83,21 @@ def make_coefficients(ib: int, ie: int, alphas, betas, field=FLOAT) -> RKICoeffi
 
 
 def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np.ndarray:
-    """Combine adjacent rows: out[i] = alpha(i) * in[i] + beta(i+1) * in[i+1]."""
-    k1 = matrix.shape[0]
-    out = np.empty((k1 - 1, matrix.shape[1]), dtype=dtype_of(field))
-    for i in range(1, k1):
-        a = co.alpha(i)
-        b = co.beta(i + 1)
-        if a == 1 and b == 0:
-            out[i - 1] = matrix[i - 1]
-        elif a == 0 and b == 1:
-            out[i - 1] = matrix[i]
-        else:
-            out[i - 1] = a * matrix[i - 1] + b * matrix[i]
+    """Combine adjacent rows: out[i] = alpha(i) * in[i] + beta(i+1) * in[i+1].
+
+    Only rows lo..ie are combined, where lo is the row before the window
+    (clamped to 1): the rows before lo are copied and the rows after ie
+    shifted up by one, which drops row ie + 1 when the window is a drop.
+    """
+    lo, hi = max(min(co.ib, co.ie + 2) - 1, 1), co.ie
+    out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype_of(field))
+    out[:lo - 1] = matrix[:lo - 1]
+    out[hi:] = matrix[hi + 1:]
+    if hi >= lo:
+        n = hi - lo + 1
+        a = np.array(((1,) + co.alphas)[-n:], dtype=dtype_of(field))
+        b = np.array((co.betas + (1,))[-n:], dtype=dtype_of(field))
+        out[lo - 1:hi] = a[:, None] * matrix[lo - 1:hi] + b[:, None] * matrix[lo:hi + 1]
     return out
 
 
@@ -117,9 +119,7 @@ def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.nda
     elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
         raise NumericalInconsistencyError(
             f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
-    out = np.zeros((la + ra - 1, lb + rb - 1), dtype=dtype_of(field))
-    if is_exact(field):
-        out[:] = Fraction(0)
+    out = zeros((la + ra - 1, lb + rb - 1), field)
     out[:la, :lb] = left
     out[la - 1:, lb - 1:] = right
     return out
@@ -128,9 +128,7 @@ def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.nda
 def block_diag(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.ndarray:
     la, lb = left.shape
     ra, rb = right.shape
-    out = np.zeros((la + ra, lb + rb), dtype=dtype_of(field))
-    if is_exact(field):
-        out[:] = Fraction(0)
+    out = zeros((la + ra, lb + rb), field)
     out[:la, :lb] = left
     out[la:, lb:] = right
     return out
@@ -212,9 +210,14 @@ class Trace:
     steps: list[Step] = dc_field(default_factory=list)
 
 
-def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
+def _glue_coefficients(lo: OrderData) -> RKICoefficients:
+    """The C0 gluing as a step: merge the seam rows of the operands side by side."""
     kl = lo.matrix.shape[0]
-    return Step("join", seam, n, 0, RKICoefficients(kl + 1, kl, (), ()),
+    return RKICoefficients(kl + 1, kl, (), ())
+
+
+def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
+    return Step("join", seam, n, 0, _glue_coefficients(lo),
                 block_diag(lo.matrix, ro.matrix, field),
                 np.concatenate([lo.integrals0, ro.integrals0]))
 
@@ -231,9 +234,6 @@ class LazyIntegrals:
         if i not in self._cache:
             self._cache[i] = self.matrix[i - 1].dot(self.in0)
         return self._cache[i]
-
-    def full(self) -> np.ndarray:
-        return self.matrix.dot(self.in0)
 
 
 def section_bundle(section: MDSpace, field=FLOAT) -> Bundle:
@@ -265,6 +265,25 @@ def _check_positive(value, field):
             raise NumericalInconsistencyError(f"basis integral is not positive: {value}")
     elif not value > 0.0:
         raise NumericalInconsistencyError(f"basis integral is not positive: {value!r}")
+
+
+def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
+                       field=FLOAT) -> RKICoefficients:
+    """Coefficients on window ib..ie of the step above `below`, free of subtraction:
+
+        alpha_i = below.alpha(i-1) * pre(i-1) / post(i-1)
+        beta_i  = below.beta(i)    * pre(i)   / post(i-1)
+
+    where pre and post map a 1-based index to the basis integrals of the
+    levels before and after `below`.
+    """
+    alphas, betas = [], []
+    for i in range(ib, ie + 1):
+        den = post(i - 1)
+        _check_positive(den, field)
+        alphas.append(below.alpha(i - 1) * pre(i - 1) / den)
+        betas.append(below.beta(i) * pre(i) / den)
+    return make_coefficients(ib, ie, alphas, betas, field)
 
 
 def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
@@ -309,16 +328,18 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
     ibstart = kl - r + 1
 
     mats: dict[tuple[int, int], np.ndarray] = {}
+    coeffs: dict[tuple[int, int], RKICoefficients] = {}
     in0: dict[int, np.ndarray] = {}
     refs: dict[int, MDSpace] = {}
-    op_in: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    glued: dict[int, np.ndarray] = {}
     for n in range(r + 1):
         lo, ro = left.orders[r - n], right.orders[r - n]
+        coeffs[(n, 0)] = _glue_coefficients(lo)
         mats[(n, 0)] = c0_join_matrices(lo.matrix, ro.matrix, field)
         refs[n] = join_spaces(lo.ref, ro.ref, 0)
         in0[n] = c0_join_integrals(lo.integrals0, ro.integrals0)
         if n < r:
-            op_in[n] = (lo.integrals, ro.integrals)
+            glued[n] = np.concatenate([lo.integrals, ro.integrals])
         if trace is not None:
             trace.steps.append(_glue_step(seam, n, lo, ro, field))
 
@@ -329,41 +350,24 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
 
     lazy: dict[tuple[int, int], LazyIntegrals] = {}
 
-    def integrals(n: int, k: int) -> LazyIntegrals:
+    def integrals(n: int, k: int):
+        """1-based integrals of level (n, k); k = -1 is the operands side by side."""
+        if k < 0:
+            return lambda i: glued[n][i - 1]
         if (n, k) not in lazy:
             lazy[(n, k)] = LazyIntegrals(mats[(n, k)], in0[n])
-        return lazy[(n, k)]
+        return lazy[(n, k)].value
 
-    prev_coeffs: dict[int, RKICoefficients] = {}
     for n in range(1, r + 1):
-        cur_coeffs: dict[int, RKICoefficients] = {}
-        inl, inr = op_in[n - 1]
-        seam_pair = {ibstart + n - 2: inl[-1], ibstart + n - 1: inr[0]}
         for k in range(1, n + 1):
-            ib = ibstart + (n - 1) - (k - 1)
-            ie = ib + k - 1
-            den_vec = integrals(n - 1, k - 1)
-            alphas, betas = [], []
-            for i in range(ib, ie + 1):
-                if k == 1:
-                    a_prev = b_prev = 1
-                    num_a, num_b = seam_pair[i - 1], seam_pair[i]
-                else:
-                    pc = prev_coeffs[k - 1]
-                    a_prev, b_prev = pc.alpha(i - 1), pc.beta(i)
-                    vec = integrals(n - 1, k - 2)
-                    num_a, num_b = vec.value(i - 1), vec.value(i)
-                den = den_vec.value(i - 1)
-                _check_positive(den, field)
-                alphas.append(a_prev * num_a / den)
-                betas.append(b_prev * num_b / den)
-            co = make_coefficients(ib, ie, alphas, betas, field)
+            ib = ibstart + n - k
+            co = ratio_coefficients(ib, ib + k - 1, coeffs[(n - 1, k - 1)],
+                                    integrals(n - 1, k - 2), integrals(n - 1, k - 1), field)
+            coeffs[(n, k)] = co
             alpha_count += co.nontrivial_count
             mats[(n, k)] = apply_bidiagonal(mats[(n, k - 1)], co, field)
-            cur_coeffs[k] = co
             if trace is not None:
                 trace.steps.append(Step("join", seam, n, k, co, mats[(n, k - 1)], in0[n]))
-        prev_coeffs = cur_coeffs
 
     orders = {}
     for n in range(r + 1):

@@ -6,10 +6,9 @@ The construction runs on a rectangular family of spaces: row k holds the
 itself. Each lowering step is a bidiagonal row combination whose window sits
 over the affected interval; its coefficients follow from the row below by the
 same integral ratio recurrence used for continuity-raising joins. Row 0 never
-needs coefficients of its own when r is at least the maximum degree minus one,
-because there every step window is empty; the optional "difference" mode keeps
-r at the largest continuity instead and seeds row 1 from signed sums of row 0
-integrals, which reintroduces cancellation and exists for comparison only.
+needs coefficients of its own, because r is at least the maximum degree minus
+one and there every step window is empty: its step only merges or drops rows,
+and it serves row 1 as the step below.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, LazyIntegrals, OrderData, RKICoefficients, Step,
-                        Trace, _check_positive, apply_bidiagonal, make_coefficients)
+                        Trace, apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
-
-RATIO = "ratio"
-DIFFERENCE = "difference"
 
 
 def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
@@ -31,6 +27,13 @@ def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
     m = max(space.degrees)
     return [(j, h) for j, d in enumerate(space.degrees)
             for h in range(m - 1, d - 1, -1)]
+
+
+def lowering_depth(space: MDSpace, min_orders: int = 1) -> int:
+    """Row count r of the lowering rectangle: at least the maximum degree minus
+    one, so that row 0 has empty windows, and enough to emit orders
+    0..min_orders."""
+    return max(2, max(space.degrees) - 1, min_orders + 1)
 
 
 def level_space(space: MDSpace, degrees, drop: int) -> MDSpace:
@@ -56,25 +59,15 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
     return RKICoefficients(min(ib_raw, ie + 2), ie, (), ())
 
 
-def rde_build(space: MDSpace, field=FLOAT, mode: str = RATIO, min_orders: int = 1,
+def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
               trace: Trace | None = None) -> Bundle:
-    """Bundle representing `space` over uniform-degree references.
-
-    Emits derivative orders 0..r-1 where r = max(2, max degree - 1,
-    min_orders + 1) in ratio mode and r = max(2, max continuity,
-    min_orders + 1) in difference mode.
-    """
-    if mode not in (RATIO, DIFFERENCE):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Bundle representing `space` over uniform-degree references, with
+    derivative orders 0..r-1 where r = lowering_depth(space, min_orders)."""
     if min(space.degrees) < 1:
         raise ValueError("degree lowering needs every interval degree to be at least 1")
-    m = max(space.degrees)
-    if mode == RATIO:
-        r = max(2, m - 1, min_orders + 1)
-    else:
-        r = max(2, max(space.continuities, default=1), min_orders + 1)
+    r = lowering_depth(space, min_orders)
 
-    uniform = [m] * (space.q + 1)
+    uniform = [max(space.degrees)] * (space.q + 1)
     refs = {k: level_space(space, uniform, r - k) for k in range(1, r + 1)}
     in_ref = {k: c0_integrals(refs[k], field) for k in range(1, r + 1)}
 
@@ -89,50 +82,21 @@ def rde_build(space: MDSpace, field=FLOAT, mode: str = RATIO, min_orders: int = 
         level0_old = level0_in
         level0_space = level_space(space, degrees, r)
         level0_in = c0_integrals(level0_space, field)
-        coeffs: dict[int, RKICoefficients] = {}
-        if mode == RATIO:
-            ib0, ie0 = window_bounds(level0_space, j)
-            coeffs[0] = _degenerate(ib0, ie0, len(level0_old))
-        lazy_new: dict[int, LazyIntegrals] = {}
+        below = _degenerate(*window_bounds(level0_space, j), len(level0_old))
+        pre, post = (lambda i: level0_old[i - 1]), (lambda i: level0_in[i - 1])
         for k in range(1, r + 1):
-            post = level_space(space, degrees, r - k)
-            ib, ie = window_bounds(post, j)
+            ib, ie = window_bounds(level_space(space, degrees, r - k), j)
             if ib > ie:
                 co = _degenerate(ib, ie, mats[k].shape[0])
             else:
-                alphas, betas = [], []
-                for i in range(ib, ie + 1):
-                    if k == 1 and mode == DIFFERENCE:
-                        lo = ib - 1
-                        sum_old = sum(level0_old[v - 1] for v in range(lo, i))
-                        sum_new_lo = sum(level0_in[v - 1] for v in range(lo, i - 1))
-                        den = level0_in[i - 2]
-                        _check_positive(den, field)
-                        alpha = (sum_old - sum_new_lo) / den
-                        beta = (sum_new_lo + level0_in[i - 2] - sum_old) / den
-                    else:
-                        if k == 1:
-                            pc = coeffs[0]
-                            num_a, num_b = level0_old[i - 2], level0_old[i - 1]
-                            den = level0_in[i - 2]
-                        else:
-                            pc = coeffs[k - 1]
-                            num_a = lazy[k - 1].value(i - 1)
-                            num_b = lazy[k - 1].value(i)
-                            den = lazy_new[k - 1].value(i - 1)
-                        _check_positive(den, field)
-                        alpha = pc.alpha(i - 1) * num_a / den
-                        beta = pc.beta(i) * num_b / den
-                    alphas.append(alpha)
-                    betas.append(beta)
-                co = make_coefficients(ib, ie, alphas, betas, field)
+                co = ratio_coefficients(ib, ie, below, pre, post, field)
                 alpha_count += co.nontrivial_count
             if trace is not None:
                 trace.steps.append(Step("lower", (j, h), n, k, co, mats[k], in_ref[k]))
+            pre = lazy[k].value
             mats[k] = apply_bidiagonal(mats[k], co, field)
-            lazy_new[k] = LazyIntegrals(mats[k], in_ref[k])
-            coeffs[k] = co
-        lazy = lazy_new
+            lazy[k] = LazyIntegrals(mats[k], in_ref[k])
+            post, below = lazy[k].value, co
 
     orders = {}
     for rho in range(r):

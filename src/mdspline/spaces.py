@@ -11,11 +11,25 @@ dimension bookkeeping uses them verbatim.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SpaceValidationError
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as ints; a non-integral value such as 3.7 is rejected, not
+    truncated, while an integral float such as 3.0 is accepted."""
+    values = tuple(values)
+    try:
+        out = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpaceValidationError(f"{what} must be integers: {exc}") from exc
+    if out != values:
+        raise SpaceValidationError(f"{what} must be integers, got {list(values)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -35,14 +49,16 @@ class MDSpace:
                internal: bool = False) -> "MDSpace":
         space = MDSpace(float(interval[0]), float(interval[1]),
                         tuple(float(x) for x in breakpoints),
-                        tuple(int(d) for d in degrees),
-                        tuple(int(k) for k in continuities),
+                        _integers(degrees, "degrees"),
+                        _integers(continuities, "continuities"),
                         internal)
         space.validate()
         return space
 
     def validate(self) -> None:
-        q = len(self.breakpoints)
+        q, xs = len(self.breakpoints), self.xs
+        if not all(map(math.isfinite, xs)):
+            raise SpaceValidationError(f"interval and breakpoints must be finite: {list(xs)}")
         if not self.b > self.a:
             raise SpaceValidationError(f"empty interval [{self.a}, {self.b}]")
         if len(self.degrees) != q + 1:
@@ -51,7 +67,6 @@ class MDSpace:
         if len(self.continuities) != q:
             raise SpaceValidationError(
                 f"{q} breakpoints need {q} continuities, got {len(self.continuities)}")
-        xs = (self.a,) + self.breakpoints + (self.b,)
         for left, right in zip(xs, xs[1:]):
             if not right > left:
                 raise SpaceValidationError(

@@ -63,6 +63,29 @@ def test_exit_codes(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"interval": [0.0, float("inf")], "breakpoints": [1.0], "degrees": [2, 2],
+     "continuities": [1]},
+    {"interval": [0.0, 2.0], "breakpoints": [float("nan")], "degrees": [2, 2],
+     "continuities": [1]},
+    {"interval": [0.0, 2.0], "breakpoints": [1.0], "degrees": [3.7, 3],
+     "continuities": [2]},
+])
+@pytest.mark.parametrize("command", [["validate"], ["matrix"], ["eval", "--grid", "3"]])
+def test_bad_space_file_is_an_input_error(capsys, tmp_path, doc, command):
+    path = space_file(tmp_path, doc)
+    rc, out, err = run(capsys, *command, "--space", path)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_integral_float_degrees_accepted(capsys, tmp_path):
+    path = space_file(tmp_path, {"interval": [0.0, 2.0], "breakpoints": [1.0],
+                                 "degrees": [3.0, 3], "continuities": [2.0]})
+    rc, out, _ = run(capsys, "validate", "--space", path)
+    assert rc == 0 and "(3_2 3)" in out
+
+
 def test_matrix_csv_round_trip(capsys):
     rc, out, _ = run(capsys, "matrix", "--preset", "table7")
     assert rc == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import join_levels
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, Trace, cr_join,
                       section_bundle)
+from mdspline._scalars import dtype_of, zeros
 from mdspline.join_core import (RKICoefficients, apply_bidiagonal,
                                 c0_join_integrals, c0_join_matrices,
                                 join_spaces, make_coefficients)
@@ -54,24 +55,35 @@ def test_make_coefficients_validates():
         make_coefficients(2, 2, [0.5], [0.5 + 1e-9], FLOAT)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_apply_matches_dense_product(data):
+    # float and Fraction rows; windows from ib = 1 to merges (ib = ie + 1) and
+    # drops (ib >= ie + 2)
+    field = data.draw(st.sampled_from([FLOAT, EXACT]))
+
+    def value(lo, hi):      # exact values lie on a grid of twentieths
+        if field is EXACT:
+            return F(data.draw(st.integers(round(20 * lo), round(20 * hi))), 20)
+        return data.draw(st.floats(lo, hi))
+
     m = data.draw(st.integers(2, 7))
     cols = data.draw(st.integers(1, 5))
-    ib = data.draw(st.integers(1, m + 1))
-    ie = data.draw(st.integers(ib - 1, m - 1)) if ib <= m - 1 else ib - 1
-    alphas = tuple(data.draw(st.floats(0.05, 1.0)) for _ in range(ib, ie + 1))
-    betas = tuple(1.0 - a for a in alphas)
-    co = RKICoefficients(ib, ie, alphas, betas)
-    dense = np.zeros((m - 1, m))
+    ie = data.draw(st.integers(0, m - 1))
+    ib = data.draw(st.integers(1, ie + 3))
+    alphas = tuple(value(0.05, 1.0) for _ in range(ib, ie + 1))
+    co = RKICoefficients(ib, ie, alphas, tuple(1 - a for a in alphas))
+    dense = zeros((m - 1, m), field)
     for i in range(1, m):
         dense[i - 1, i - 1] = co.alpha(i)
         dense[i - 1, i] = co.beta(i + 1)
-    mat = np.array([[data.draw(st.floats(-2, 2)) for _ in range(cols)]
-                    for _ in range(m)])
-    assert np.allclose(apply_bidiagonal(mat, co, FLOAT), dense @ mat,
-                       atol=1e-14, rtol=0)
+    mat = np.array([[value(-2, 2) for _ in range(cols)] for _ in range(m)],
+                   dtype=dtype_of(field))
+    got = apply_bidiagonal(mat, co, field)
+    if field is EXACT:
+        assert got.dtype == object and np.array_equal(got, dense.dot(mat))
+    else:
+        assert np.allclose(got, dense @ mat, atol=1e-14, rtol=0)
 
 
 def test_c0_join_integrals():

@@ -1,9 +1,7 @@
-"""Degree lowering: schedule, step windows, both coefficient modes.
+"""Degree lowering: schedule, step windows, depth and the cost model.
 
 The space (4_2 2_1 3) on [0, 3] exercises a three-step lowering whose window
-positions at every level are checked by hand; ratio and difference modes must
-agree exactly in rational arithmetic because they compute the same
-coefficients along different recurrences.
+positions at every level are checked by hand.
 """
 
 from fractions import Fraction as F
@@ -11,9 +9,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import random_space
 from mdspline import EXACT, FLOAT, MDSpace, Trace
+from mdspline.assembler import rde_cost
 from mdspline.join_core import LazyIntegrals, apply_bidiagonal
-from mdspline.rde_core import (DIFFERENCE, RATIO, level_space, rde_build, rde_schedule,
+from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
                                window_bounds)
 
 
@@ -39,17 +39,17 @@ def test_level_space_uniform_drop():
 def test_step_windows_by_hand():
     sp = stepped()
     trace = Trace()
-    bundle = rde_build(sp, EXACT, mode=DIFFERENCE, trace=trace)
-    assert len(bundle.orders) == 2      # r = 2: orders 0 .. r - 1
-    assert [(s.at, s.n) for s in trace.steps if s.k == 1] == \
+    bundle = rde_build(sp, EXACT, trace=trace)
+    assert len(bundle.orders) == 3      # r = 3: orders 0 .. r - 1
+    assert [(s.at, s.n) for s in trace.steps if s.k == 2] == \
         [((1, 3), 1), ((1, 2), 2), ((2, 3), 3)]
     windows = {(s.n, s.k): s.coefficients.window for s in trace.steps}
-    assert windows[(1, 1)] == (4, 5)
-    assert windows[(1, 2)] == (4, 6)
-    assert windows[(2, 1)] == (4, 4)
-    assert windows[(2, 2)] == (4, 5)
-    assert windows[(3, 1)] == (5, 6)
-    assert windows[(3, 2)] == (5, 7)
+    assert windows[(1, 2)] == (4, 5)
+    assert windows[(1, 3)] == (4, 6)
+    assert windows[(2, 2)] == (4, 4)
+    assert windows[(2, 3)] == (4, 5)
+    assert windows[(3, 2)] == (5, 6)
+    assert windows[(3, 3)] == (5, 7)
 
 
 def test_highest_derivative_windows_by_hand():
@@ -63,7 +63,7 @@ def test_highest_derivative_windows_by_hand():
 
 def test_ratio_mode_defaults():
     trace = Trace()
-    bundle = rde_build(stepped(), EXACT, mode=RATIO, trace=trace)
+    bundle = rde_build(stepped(), EXACT, trace=trace)
     assert len(bundle.orders) == 3  # r = max degree - 1
     assert set(bundle.orders) == {0, 1, 2}
     assert {s.k for s in trace.steps} == {1, 2, 3}
@@ -75,15 +75,6 @@ def test_ratio_mode_defaults():
     assert bundle.orders[0].ref.degrees == (4, 4, 4)
     assert bundle.orders[0].ref.continuities == stepped().continuities
     assert bundle.matrix.shape == (7, 10)
-
-
-def test_modes_agree_exactly():
-    a = rde_build(stepped(), EXACT, mode=RATIO)
-    b = rde_build(stepped(), EXACT, mode=DIFFERENCE)
-    assert np.array_equal(np.asarray(a.matrix), np.asarray(b.matrix))
-    af = rde_build(stepped(), FLOAT, mode=RATIO)
-    bf = rde_build(stepped(), FLOAT, mode=DIFFERENCE)
-    assert np.max(np.abs(af.matrix - bf.matrix)) <= 1e-15
 
 
 def test_single_lowering_matrix_by_hand():
@@ -126,14 +117,28 @@ def test_rejects_degree_zero():
         rde_build(sp, FLOAT)
 
 
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        rde_build(stepped(), FLOAT, mode="fast")
-
-
 def test_lazy_integrals_cache():
     mat = np.array([[1.0, 0.0], [0.5, 0.5]])
     lz = LazyIntegrals(mat, np.array([2.0, 4.0]))
     assert lz.value(1) == 2.0
     assert lz.value(2) == 3.0
-    assert list(lz.full()) == [2.0, 3.0]
+
+
+def test_lowering_depth():
+    assert lowering_depth(stepped()) == 3           # max degree - 1
+    assert lowering_depth(stepped(), 5) == 6        # min_orders + 1
+    assert lowering_depth(MDSpace.create((0.0, 1.0), (), (1,), ())) == 2
+
+
+def test_cost_model_counts_the_sweep():
+    # rde_cost predicts the nontrivial coefficient count of the sweep it models
+    cases = 0
+    for seed in range(300):
+        sp = random_space(seed, 6, 8)
+        if min(sp.degrees) < 1:
+            continue
+        for k in range(1, max(sp.degrees) + 1):
+            assert rde_cost(sp, k) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
+                (seed, k)
+            cases += 1
+    assert cases == 1920

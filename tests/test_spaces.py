@@ -135,6 +135,40 @@ def test_validation_rejects(kwargs):
         MDSpace.create(**kwargs)
 
 
+@pytest.mark.parametrize("interval, breakpoints", [
+    ((0.0, float("inf")), (1.0,)),
+    ((float("-inf"), 2.0), (1.0,)),
+    ((0.0, 2.0), (float("nan"),)),
+    ((float("nan"), 2.0), (1.0,)),
+])
+def test_non_finite_knots_rejected(interval, breakpoints):
+    with pytest.raises(SpaceValidationError, match="finite"):
+        MDSpace.create(interval, breakpoints, (2, 2), (1,))
+    space = MDSpace(float(interval[0]), float(interval[1]), breakpoints, (2, 2), (1,))
+    with pytest.raises(SpaceValidationError, match="finite"):
+        space.validate()
+
+
+@pytest.mark.parametrize("degrees, continuities", [
+    ((3.7, 3), (2,)),
+    ((3, 3), (1.5,)),
+    (("3", 3), (2,)),
+    ((None, 3), (2,)),
+])
+def test_non_integral_orders_rejected(degrees, continuities):
+    with pytest.raises(SpaceValidationError, match="integers"):
+        MDSpace.create((0.0, 2.0), (1.0,), degrees, continuities)
+    with pytest.raises(SpaceValidationError, match="integers"):
+        MDSpace.from_dict({"interval": [0.0, 2.0], "breakpoints": [1.0],
+                           "degrees": list(degrees), "continuities": list(continuities)})
+
+
+def test_integral_floats_accepted():
+    sp = MDSpace.create((0.0, 2.0), (1.0,), (3.0, 3), (2.0,))
+    assert sp.degrees == (3, 3) and sp.continuities == (2,)
+    assert all(type(v) is int for v in sp.degrees + sp.continuities)
+
+
 def test_internal_invariant_rejects():
     # k <= min degree but d_i - k_i < 0 is still inconsistent
     with pytest.raises(SpaceValidationError):
