@@ -17,7 +17,7 @@ from ._scalars import FLOAT
 from .errors import NumericalInconsistencyError, UnsupportedSpaceError
 from .join_core import Bundle, Trace, cr_join, section_bundle
 from .legacy import legacy_join
-from .rde_core import level_space, lowering_depth, rde_build, rde_schedule, window_bounds
+from .rde_core import rde_build
 from .spaces import MDSpace
 
 RKI = "rki"
@@ -26,18 +26,14 @@ MIXED = "mixed"
 DERIVATIVE = "derivative"
 
 
-def rde_cost(space: MDSpace, min_orders: int = 1) -> int:
-    """Nontrivial coefficient count of `rde_build(space, min_orders=min_orders)`."""
-    r = lowering_depth(space, min_orders)
-    total = 0
-    degrees = [max(space.degrees)] * (space.q + 1)
-    for j, h in rde_schedule(space):
-        degrees[j] = h
-        for k in range(1, r + 1):
-            post = level_space(space, degrees, r - k)
-            ib, ie = window_bounds(post, j)
-            total += max(0, ie - ib + 1)
-    return total
+def rde_cost(degrees) -> int:
+    """Nontrivial coefficient count of `rde_build` on a space with these
+    interval degrees, whatever its continuities and `min_orders`: the step
+    that lowers an interval to degree h has windows of h, h - 1, ..., 1 rows,
+    so lowering degree d to the maximum m costs
+    join_cost(m - 1) - join_cost(d - 1)."""
+    m = max(degrees)
+    return sum(join_cost(m - 1) - join_cost(d - 1) for d in degrees)
 
 
 def join_cost(r: int) -> int:
@@ -56,11 +52,7 @@ def auto_plan(space: MDSpace) -> list[str]:
     bounds = dec.boundaries
 
     def group_cost(lo: int, hi: int) -> int:
-        if lo == hi:
-            return 0
-        need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
-        sub = space.restrict(bounds[lo], bounds[hi + 1])
-        return rde_cost(sub, max(need, default=1))
+        return rde_cost(space.degrees[bounds[lo]:bounds[hi + 1]])
 
     kind = [[RKI, i, i] for i in range(n)]       # strategy, lo section, hi section
     improved = True

@@ -139,14 +139,14 @@ def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     the support pieces. Zero-function slots get 0."""
     s, t = space.extended_partitions()
     xs = space.xs
+    pos = {x: i for i, x in enumerate(xs)}
     conv = (lambda v: Fraction(v)) if is_exact(field) else float
     cxs = [conv(x) for x in xs]
     out = zeros(space.dimension, field)
     for i in range(space.dimension):
         if s[i] >= t[i]:
             continue
-        ps = xs.index(s[i])
-        pt = xs.index(t[i])
+        ps, pt = pos[s[i]], pos[t[i]]
         acc = field(0)
         for j in range(ps, pt):
             acc = acc + (cxs[j + 1] - cxs[j]) / (space.degrees[j] + 1)
@@ -260,10 +260,9 @@ def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
     layout = layout or build_layout(space)
     xf = float(x)
     if side == "left" or xf == space.b:
-        if xf == space.a:
-            raise ValueError("no left limit at the left endpoint")
-        j = space.q if xf == space.b else \
-            max(i for i in range(space.q + 1) if space.xs[i] < xf)
+        if not space.a < xf <= space.b:
+            raise ValueError(f"no left limit at {x} in [{space.a}, {space.b}]")
+        j = space.q if xf == space.b else bisect_left(space.xs, xf) - 1
     else:
         j = space.find_interval(xf)
     rid = layout.run_of_interval[j]

@@ -44,12 +44,14 @@ def level_space(space: MDSpace, degrees, drop: int) -> MDSpace:
         internal=True)
 
 
-def window_bounds(post: MDSpace, j: int) -> tuple[int, int]:
-    """Raw window of a lowering step on interval j of the post space: ie is
-    the unclamped count of basis slots starting at or before the interval."""
-    d, ks = post.degrees, post.continuities
-    ie = d[0] + 1 + sum(d[i] - ks[i - 1] for i in range(1, j + 1))
-    return ie - d[j] + 1, ie
+def window_start(degrees, continuities, j: int) -> int:
+    """First row of a lowering step on interval j, given the post-step degrees:
+    the same in every row. The row whose orders are lowered by `drop` ends its
+    window at start + degrees[j] - drop - 1, the unclamped count of its basis
+    slots starting at or before the interval; an end before the start is an
+    empty window."""
+    d, ks = degrees, continuities
+    return d[0] + 2 - d[j] + sum(d[i] - ks[i - 1] for i in range(1, j + 1))
 
 
 def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
@@ -79,13 +81,13 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     level0_in = c0_integrals(level_space(space, degrees, r), field)
     for n, (j, h) in enumerate(rde_schedule(space), 1):
         degrees[j] = h
+        ib = window_start(degrees, space.continuities, j)
         level0_old = level0_in
-        level0_space = level_space(space, degrees, r)
-        level0_in = c0_integrals(level0_space, field)
-        below = _degenerate(*window_bounds(level0_space, j), len(level0_old))
+        level0_in = c0_integrals(level_space(space, degrees, r), field)
+        below = _degenerate(ib, ib + h - r - 1, len(level0_old))
         pre, post = (lambda i: level0_old[i - 1]), (lambda i: level0_in[i - 1])
         for k in range(1, r + 1):
-            ib, ie = window_bounds(level_space(space, degrees, r - k), j)
+            ie = ib + h - (r - k) - 1
             if ib > ie:
                 co = _degenerate(ib, ie, mats[k].shape[0])
             else:

@@ -246,9 +246,3 @@ class SectionDecomposition:
     def join_order(self) -> tuple[JoinSpec, ...]:
         """Seams by decreasing continuity, ties left first."""
         return tuple(sorted(self.joins, key=lambda jn: (-jn.continuity, jn.index)))
-
-    def section_of_interval(self, j: int) -> int:
-        for h in range(len(self.sections)):
-            if self.boundaries[h] <= j < self.boundaries[h + 1]:
-                return h
-        raise IndexError(f"interval {j} out of range")

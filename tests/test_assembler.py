@@ -103,9 +103,8 @@ def test_auto_plan_prefers_cheaper_route():
 
 def test_costs():
     assert join_cost(3) == 10
-    sub = table7(15)
-    assert rde_cost(sub, 15) < join_cost(15)
-    assert rde_cost(table7(5), 5) > join_cost(5)
+    assert rde_cost(table7(15).degrees) < join_cost(15)
+    assert rde_cost(table7(5).degrees) > join_cost(5)
 
 
 def test_mixed_explicit_plan():

@@ -158,3 +158,24 @@ def test_partition_of_unity_and_support(seed, frac):
     assert len(v.values) == d + 1
     assert abs(float(np.sum(v.values)) - 1.0) < 1e-13
     assert all(val > -1e-15 for val in v.values)
+
+
+def test_left_limits_use_the_interval_ending_at_x():
+    # the left-side window at x belongs to the last interval j <= q with
+    # x_j < x (interval q at b); near x inside that interval the right-side
+    # window has the same slots and nearly the same values
+    sp = MDSpace.create((0.0, 4.0), (1.0, 2.5, 3.0), (2, 3, 3, 1), (0, 1, 0))
+    lay = build_layout(sp)
+    xs, eps = sp.xs, F(1, 10**9)
+    for x in (*sp.breakpoints, 1.7, sp.b):
+        j = sp.q if x == sp.b else max(i for i in range(sp.q + 1) if xs[i] < x)
+        near = F(x) - eps
+        assert sp.find_interval(float(near)) == j
+        for order in range(3):
+            left = eval_c0_derivatives(sp, F(x), "left", order, EXACT, lay)
+            inside = eval_c0_derivatives(sp, near, "right", order, EXACT, lay)
+            assert left.first == inside.first and len(left.values) == len(inside.values)
+            assert all(abs(u - v) < F(1, 10**6) for u, v in zip(left.values, inside.values))
+    for x in (sp.a, 4.5):
+        with pytest.raises(ValueError):
+            eval_c0_derivatives(sp, x, "left", 1, FLOAT, lay)

@@ -11,10 +11,10 @@ import pytest
 
 from conftest import random_space
 from mdspline import EXACT, FLOAT, MDSpace, Trace
-from mdspline.assembler import rde_cost
+from mdspline.assembler import auto_plan, rde_cost
 from mdspline.join_core import LazyIntegrals, apply_bidiagonal
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
-                               window_bounds)
+                               window_start)
 
 
 def stepped():
@@ -53,12 +53,13 @@ def test_step_windows_by_hand():
 
 
 def test_highest_derivative_windows_by_hand():
-    # the order-r row of the same three steps, computed directly
-    sp = stepped()
-    assert window_bounds(level_space(sp, (4, 3, 3), 2), 1) == (4, 4)
-    ib, ie = window_bounds(level_space(sp, (4, 2, 3), 2), 1)
-    assert ib > ie
-    assert window_bounds(level_space(sp, (4, 2, 3), 2), 2) == (5, 5)
+    # the order-r row (orders lowered by 2) of the same three steps, computed
+    # directly: it ends its window at start + h - 2 - 1
+    ks = stepped().continuities
+    assert window_start((4, 3, 3), ks, 1) == 4          # window (4, 4)
+    start = window_start((4, 2, 3), ks, 1)
+    assert start == 4 and start + 2 - 2 - 1 < start     # empty window
+    assert window_start((4, 2, 3), ks, 2) == 5          # window (5, 5)
 
 
 def test_ratio_mode_defaults():
@@ -138,7 +139,28 @@ def test_cost_model_counts_the_sweep():
         if min(sp.degrees) < 1:
             continue
         for k in range(1, max(sp.degrees) + 1):
-            assert rde_cost(sp, k) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
+            assert rde_cost(sp.degrees) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
                 (seed, k)
             cases += 1
     assert cases == 1920
+
+
+def test_no_space_per_lowering_row(monkeypatch):
+    # rde_build creates the r references, the first level-0 space and one
+    # level-0 space per step; auto_plan creates none
+    spaces = [random_space(seed, 10, 8) for seed in (3, 7, 11)]
+    made = []
+    create = MDSpace.create
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(MDSpace, "create", staticmethod(counting))
+    for sp in spaces:
+        made.clear()
+        rde_build(sp, FLOAT)
+        assert len(made) <= lowering_depth(sp) + len(rde_schedule(sp)) + 1, sp
+        made.clear()
+        auto_plan(sp)
+        assert made == [], sp

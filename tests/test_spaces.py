@@ -91,8 +91,6 @@ def test_section_decomposition():
     assert [(j.x, j.continuity) for j in dec.join_order] == [(3.0, 3), (2.0, 2)]
     assert [(j.x, j.continuity) for j in dec.joins] == [(2.0, 2), (3.0, 3)]
     assert dec.joins is dec.joins
-    assert dec.section_of_interval(0) == dec.section_of_interval(1) == 0
-    assert dec.section_of_interval(3) == 2
 
 
 def test_find_interval():
