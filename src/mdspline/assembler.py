@@ -82,6 +82,8 @@ def auto_plan(space: MDSpace) -> list[str]:
 
 def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:
     """Contiguous section groups (lo, hi) that `route` builds as one block each."""
+    if plan is not None and route != MIXED:
+        raise ValueError(f"only the '{MIXED}' route takes a plan, not {route!r}")
     if route in (RKI, DERIVATIVE):
         return [(i, i) for i in range(n)]
     if route == RDE:
@@ -110,10 +112,11 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
     groups = _groups(space, len(dec.sections), route, plan)
     blocks = []
     for lo, hi in groups:
-        if lo == hi:
-            blocks.append(section_bundle(dec.sections[lo], field))
-            continue
         need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
+        if lo == hi:
+            section = dec.sections[lo]
+            blocks.append(section_bundle(section, field, max(need, default=section.degrees[0])))
+            continue
         sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
         blocks.append(rde_build(sub, field, max(need, default=1), trace))
     join = legacy_join if route == DERIVATIVE else cr_join

@@ -93,6 +93,8 @@ def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
     The conversion weights come from the two abscissae vectors."""
     from .assembler import build_matrix_rki
 
+    if not 1 <= index <= space.q:
+        raise ValueError(f"breakpoint index {index} outside 1..{space.q}")
     exp = list(space.continuities)
     exp[index - 1] -= 1
     if (hat_space.degrees != space.degrees

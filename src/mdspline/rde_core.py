@@ -108,5 +108,5 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
             raise NumericalInconsistencyError(
                 f"order {rho} matrix has shape {mats[k].shape}, expected "
                 f"{(sp.dimension, refs[k].dimension)}")
-        orders[rho] = OrderData(sp, mats[k], refs[k], in_ref[k])
+        orders[rho] = OrderData(mats[k], refs[k], in_ref[k])
     return Bundle(space, orders, field, alpha_count, "rde")

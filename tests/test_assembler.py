@@ -155,13 +155,20 @@ def test_dispatcher():
         build_matrix(sp, "newton")
 
 
+def test_plan_is_for_the_mixed_route_only():
+    sp = worked_space()
+    for route in ("rki", "rde", "derivative"):
+        with pytest.raises(ValueError, match="plan"):
+            build_matrix(sp, route, FLOAT, plan=["rki"] * 3)
+
+
 def test_routes_share_the_join_order():
     # rki, derivative and an all-rki plan run the same seams in the same order
     sp = worked_space()
     order = {}
     for route in ("rki", "derivative", "mixed"):
         trace = Trace()
-        build_matrix(sp, route, EXACT, trace, plan=["rki"] * 3)
+        build_matrix(sp, route, EXACT, trace, plan=["rki"] * 3 if route == "mixed" else None)
         order[route] = [s.at for s in trace.steps if s.k == 1]
     assert order["rki"] == order["mixed"] == [3.0, 3.0, 3.0, 2.0, 2.0]
     assert order["derivative"] == [3.0, 2.0]

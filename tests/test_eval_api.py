@@ -143,6 +143,15 @@ def test_insert_knot_validates_relationship():
         insert_knot_coeffs(sp, hat, np.zeros(sp.dimension + 1), 1, FLOAT)
 
 
+def test_insert_knot_index_outside_the_breakpoints():
+    # each hat space matches the continuity list that the index would wrap to
+    sp, hat = insertion_pair()
+    last = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 2, 3), (2, 0))
+    for index, h in ((0, last), (-1, hat), (sp.q + 1, hat)):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            insert_knot_coeffs(sp, h, np.zeros(sp.dimension), index, FLOAT)
+
+
 def test_eval_outside_domain_raises():
     sp = MDSpace.create((0.0, 1.0), (), (2,), ())
     bundle = build_matrix_rki(sp, FLOAT)
@@ -161,10 +170,10 @@ def test_eval_rejects_a_split_row_band():
     # rows 1 and 3 meet the hats on [0, 1], row 2 lies on [1, 2] only
     ref = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,))
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    bundle = Bundle(ref, {0: OrderData(ref, matrix, ref, np.array([0.5, 1.0, 0.5]))})
+    bundle = Bundle(ref, {0: OrderData(matrix, ref, np.array([0.5, 1.0, 0.5]))})
     with pytest.raises(NumericalInconsistencyError):
         eval_basis(bundle, 0.5)
-    zero_row = Bundle(ref, {0: OrderData(ref, np.eye(3) * [[1], [0], [1]], ref,
+    zero_row = Bundle(ref, {0: OrderData(np.eye(3) * [[1], [0], [1]], ref,
                                          np.array([0.5, 1.0, 0.5]))})
     with pytest.raises(NumericalInconsistencyError):
         eval_basis(zero_row, 0.5)

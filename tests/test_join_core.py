@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import join_levels
-from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, Trace, cr_join,
-                      section_bundle)
+from conftest import join_levels, random_space
+from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
+                      SpaceValidationError, Trace, assembler, build_matrix, cr_join,
+                      join_core, section_bundle)
 from mdspline._scalars import dtype_of, zeros
 from mdspline.join_core import (RKICoefficients, apply_bidiagonal,
                                 c0_join_integrals, c0_join_matrices,
                                 join_spaces, make_coefficients)
+from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 
 
 def test_accessor_plain_window():
@@ -109,6 +111,92 @@ def test_join_spaces_dimensions():
     for k in range(4):
         sp = join_spaces(left, right, k)
         assert sp.dimension == left.dimension + right.dimension - 1 - k
+
+
+def test_join_spaces_checks_the_seam():
+    left = MDSpace.create((2.0, 3.0), (), (4,), ())
+    right = MDSpace.create((3.0, 4.0), (), (3,), ())
+    for k in (-1, 4):       # public rule: 0 <= k <= min degree
+        with pytest.raises(SpaceValidationError):
+            join_spaces(left, right, k)
+    # internal rule: d - k >= 0 on both sides; the order-3 derivatives have
+    # degrees 1 and 0
+    dl, dr = left.derivative_space(3), right.derivative_space(3)
+    assert join_spaces(dl, dr, -1).internal
+    assert join_spaces(dl, dr, 0).dimension == dl.dimension + dr.dimension - 1
+    with pytest.raises(SpaceValidationError):
+        join_spaces(dl, dr, 1)
+    with pytest.raises(ValueError):
+        join_spaces(right, left, 0)
+
+
+def rki_window(space11: MDSpace, xj: float) -> int:
+    """The first nontrivial index of a join as the extended partitions give it:
+    on the order r-1 continuity-1 join space, the count of left extended
+    partition entries <= xj, minus the degree right of xj, plus one."""
+    s, _ = space11.extended_partitions()
+    ell = sum(1 for v in s if v <= xj)
+    return ell - space11.degrees[space11.find_interval(xj)] + 1
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_join_window_start_is_the_extended_partition_count(monkeypatch, field):
+    # cr_join starts cell (r, r) at kl - r + 1; the window start is an integer
+    # count, so the float builds cover every space and the exact builds the
+    # presets whose exact rki build takes under a second
+    if field is FLOAT:
+        spaces = [f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE] \
+            + [random_space(seed) for seed in range(200)]
+    else:
+        spaces = [PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "table7")]
+    starts = []
+
+    def recording(left, right, r, field, trace):
+        own = Trace()
+        out = cr_join(left, right, r, field, own)
+        if r > 0:
+            cell = next(s for s in own.steps if (s.n, s.k) == (r, r))
+            space11 = join_spaces(left.space.derivative_space(r - 1),
+                                  right.space.derivative_space(r - 1), 1)
+            starts.append((cell.coefficients.ib, rki_window(space11, left.space.b)))
+        return out
+
+    monkeypatch.setattr(assembler, "cr_join", recording)
+    for sp in spaces:
+        build_matrix(sp, "rki", field)
+    assert len(starts) == (615 if field is FLOAT else 9)
+    assert all(got == want for got, want in starts)
+
+
+def test_no_space_per_join(monkeypatch):
+    # an rki build derives every joined space from its operands, and each
+    # section integrates only the orders its seams read: 0..max(need, 1)
+    made, integrated = [], []
+    create, c0_integrals = MDSpace.create, join_core.c0_integrals
+
+    def counting_create(*args, **kwargs):
+        made.append(args)
+        return create(*args, **kwargs)
+
+    def counting_integrals(sp, field):
+        integrated.append((sp.a, sp.b))
+        return c0_integrals(sp, field)
+
+    spaces = [f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE]
+    monkeypatch.setattr(MDSpace, "create", staticmethod(counting_create))
+    monkeypatch.setattr(join_core, "c0_integrals", counting_integrals)
+    for sp in spaces:
+        made.clear()
+        integrated.clear()
+        build_matrix(sp, "rki", FLOAT)
+        assert made == [], sp
+        dec = sp.section_decomposition()
+        want = []
+        for i, section in enumerate(dec.sections):
+            need = [dec.joins[j].continuity for j in (i - 1, i) if 0 <= j < len(dec.joins)]
+            top = max(max(need, default=section.degrees[0]), 1)
+            want += [(section.a, section.b)] * (top + 1)
+        assert sorted(integrated) == sorted(want), sp
 
 
 def first_join(field):
