@@ -113,9 +113,10 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
     blocks = []
     for lo, hi in groups:
         need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
-        if lo == hi:
+        if lo == hi:      # on the derivative route, joins read order 0 only
             section = dec.sections[lo]
-            blocks.append(section_bundle(section, field, max(need, default=section.degrees[0])))
+            top = 1 if need and route == DERIVATIVE else max(need, default=section.degrees[0])
+            blocks.append(section_bundle(section, field, top))
             continue
         sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
         blocks.append(rde_build(sub, field, max(need, default=1), trace))

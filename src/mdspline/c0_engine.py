@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, is_exact, zeros
+from ._scalars import FLOAT, dtype_of, is_exact
 from .errors import SpaceValidationError
-from .spaces import MDSpace
+from .spaces import MDSpace, _extended_partitions
 
 
 @dataclass(frozen=True)
@@ -138,20 +138,35 @@ def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     """Integral of each basis function: sum of (piece width)/(degree+1) over
     the support pieces. Zero-function slots get 0."""
     s, t = space.extended_partitions()
-    xs = space.xs
-    pos = {x: i for i, x in enumerate(xs)}
-    conv = (lambda v: Fraction(v)) if is_exact(field) else float
-    cxs = [conv(x) for x in xs]
-    out = zeros(space.dimension, field)
-    for i in range(space.dimension):
-        if s[i] >= t[i]:
-            continue
-        ps, pt = pos[s[i]], pos[t[i]]
+    return _slot_integrals(space.xs, space.degrees, s, t, field)
+
+
+def lowered_integrals(before: np.ndarray, xs, degrees, continuities, j: int,
+                      field=FLOAT) -> np.ndarray:
+    """`c0_integrals` of the space with knots xs and raw degrees and continuities,
+    from `before`, those with degrees[j] one higher: only the slots whose support
+    meets interval j (and zero-function slots among them) are summed again."""
+    s, t = _extended_partitions(xs, degrees, continuities)
+    lo, hi = sorted((bisect_left(t, xs[j + 1]), bisect_right(s, xs[j])))
+    mid = _slot_integrals(xs, degrees, s[lo:hi], t[lo:hi], field)
+    return np.concatenate([before[:lo], mid, before[hi + 1:]])
+
+
+def _slot_integrals(xs, degrees, s, t, field) -> np.ndarray:
+    """The integrals of `c0_integrals` for the slots supported on [s_i, t_i],
+    read from the knots s[0] to t[-1] only."""
+    conv = Fraction if is_exact(field) else float
+    k0, k1 = (bisect_left(xs, s[0]), bisect_right(xs, t[-1])) if s else (0, 0)
+    pos = {xs[i]: i - k0 for i in range(k0, k1)}
+    piece = [(conv(xs[i + 1]) - conv(xs[i])) / (degrees[i] + 1) if degrees[i] >= 0
+             else None for i in range(k0, k1 - 1)]      # no function on that interval
+    out = []
+    for a, b in zip(s, t):
         acc = field(0)
-        for j in range(ps, pt):
-            acc = acc + (cxs[j + 1] - cxs[j]) / (space.degrees[j] + 1)
-        out[i] = acc
-    return out
+        for i in range(pos[a], pos[b]) if a < b else ():
+            acc = acc + piece[i]
+        out.append(acc)
+    return np.array(out, dtype=dtype_of(field))
 
 
 def _basis_window(knots, degree, span, x, field):

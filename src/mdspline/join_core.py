@@ -54,6 +54,12 @@ class RKICoefficients:
             return self.betas[i - self.ib]
         return 1
 
+    def values(self, lo: int, hi: int) -> tuple[tuple, tuple]:
+        """(alpha(lo), ..., alpha(hi)) and (beta(lo), ..., beta(hi)); hi >= lo - 1."""
+        ib_eff, n, w = min(self.ib, self.ie + 2), hi - lo + 1, max(lo - self.ib, 0)
+        return (((1,) * (min(ib_eff - 1, self.ie) - lo + 1) + self.alphas[w:] + (0,) * n)[:n],
+                ((0,) * (ib_eff - lo) + self.betas[w:] + (1,) * n)[:n])
+
     @property
     def window(self) -> tuple[int, int]:
         return (self.ib, self.ie)
@@ -267,12 +273,14 @@ def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
     where pre and post map a 1-based index to the basis integrals of the
     levels before and after `below`.
     """
+    a_below, b_below = below.values(ib - 1, ie)
+    pres = list(map(pre, range(ib - 1, ie + 1)))
     alphas, betas = [], []
-    for i in range(ib, ie + 1):
-        den = post(i - 1)
+    for n in range(ie - ib + 1):
+        den = post(ib - 1 + n)
         _check_positive(den, field)
-        alphas.append(below.alpha(i - 1) * pre(i - 1) / den)
-        betas.append(below.beta(i) * pre(i) / den)
+        alphas.append(a_below[n] * pres[n] / den)
+        betas.append(b_below[n + 1] * pres[n + 1] / den)
     return make_coefficients(ib, ie, alphas, betas, field)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._scalars import FLOAT, is_exact
+from ._scalars import FLOAT
 from .c0_engine import build_layout, eval_c0_derivatives
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
@@ -21,29 +21,20 @@ from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
 from .spaces import MDSpace
 
 
-def _jump(matrix: np.ndarray, ref: MDSpace, layout, i: int, x, order: int, field):
-    left = eval_c0_derivatives(ref, x, "left", order, field, layout)
-    right = eval_c0_derivatives(ref, x, "right", order, field, layout)
-    row = matrix[i - 1]
-    dl = row[left.first - 1:left.last].dot(left.values)
-    dr = row[right.first - 1:right.last].dot(right.values)
-    return dl - dr
-
-
 def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
                           ib: int, ie: int, field=FLOAT) -> RKICoefficients:
     """Coefficients of the step that raises the seam from C^{k-1} to C^k, from
     order-k derivative jumps of the current basis rows at the seam."""
     layout = build_layout(ref)
     x = field(seam)
-    alphas, betas = [], []
-    prev = 1
-    for i in range(ib, ie + 1):
-        jump_lo = _jump(matrix, ref, layout, i - 1, x, k, field)
-        jump_hi = _jump(matrix, ref, layout, i, x, k, field)
-        vanished = jump_hi == 0 if is_exact(field) else \
-            abs(jump_hi) == 0.0
-        if vanished:
+    left = eval_c0_derivatives(ref, x, "left", k, field, layout)
+    right = eval_c0_derivatives(ref, x, "right", k, field, layout)
+    jumps = [matrix[i - 1][left.first - 1:left.last].dot(left.values) -
+             matrix[i - 1][right.first - 1:right.last].dot(right.values)
+             for i in range(ib - 1, ie + 1)]
+    alphas, betas, prev = [], [], 1
+    for i, jump_lo, jump_hi in zip(range(ib, ie + 1), jumps, jumps[1:]):
+        if jump_hi == 0:
             raise NumericalInconsistencyError(
                 f"derivative jump of function {i} vanishes at {seam}")
         alpha = 1 + prev * jump_lo / jump_hi

@@ -13,12 +13,16 @@ and it serves row 1 as the step below.
 
 from __future__ import annotations
 
-from ._scalars import FLOAT, eye
-from .c0_engine import c0_integrals
+import numpy as np
+
+from ._scalars import FLOAT, dtype_of, eye
+from .c0_engine import c0_integrals, lowered_integrals
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, LazyIntegrals, OrderData, RKICoefficients, Step,
                         Trace, apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
+
+ROW_LIST_CELLS = 1 << 15    # a larger level is a list of rows, which steps share
 
 
 def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
@@ -61,6 +65,20 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
     return RKICoefficients(min(ib_raw, ie + 2), ie, (), ())
 
 
+def _lower(level, co: RKICoefficients, field):
+    """The level `co` makes from `level`, never written to: only rows lo..ie+1 (lo
+    as in apply_bidiagonal) pass through apply_bidiagonal, window shifted to match.
+    A row list shares its other rows; a small array copies them, at less cost."""
+    shift = max(min(co.ib, co.ie + 2) - 1, 1) - 1
+    out = level[:0]             # no row is combined: row ie + 1 is dropped
+    if co.ie > shift:
+        out = apply_bidiagonal(np.asarray(level[shift:co.ie + 1]), RKICoefficients(
+            co.ib - shift, co.ie - shift, co.alphas, co.betas), field)
+    if isinstance(level, np.ndarray):
+        return np.concatenate([level[:shift], out, level[co.ie + 1:]])
+    return level[:shift] + list(out) + level[co.ie + 1:]
+
+
 def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
               trace: Trace | None = None) -> Bundle:
     """Bundle representing `space` over uniform-degree references, with
@@ -73,40 +91,44 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     refs = {k: level_space(space, uniform, r - k) for k in range(1, r + 1)}
     in_ref = {k: c0_integrals(refs[k], field) for k in range(1, r + 1)}
 
-    mats = {k: eye(refs[k].dimension, field) for k in range(1, r + 1)}
-    lazy = {k: LazyIntegrals(mats[k], in_ref[k]) for k in range(1, r + 1)}
+    levels = {k: eye(refs[k].dimension, field) for k in range(1, r + 1)}
+    levels.update((k, list(m)) for k, m in levels.items() if m.size > ROW_LIST_CELLS)
+    lazy = {k: LazyIntegrals(levels[k], in_ref[k]) for k in range(1, r + 1)}
     alpha_count = 0
 
     degrees = list(uniform)
+    ks0 = [k - r for k in space.continuities]
     level0_in = c0_integrals(level_space(space, degrees, r), field)
     for n, (j, h) in enumerate(rde_schedule(space), 1):
         degrees[j] = h
         ib = window_start(degrees, space.continuities, j)
-        level0_old = level0_in
-        level0_in = c0_integrals(level_space(space, degrees, r), field)
+        level0_old, level0_in = level0_in, lowered_integrals(
+            level0_in, space.xs, [d - r for d in degrees], ks0, j, field)
         below = _degenerate(ib, ib + h - r - 1, len(level0_old))
         pre, post = (lambda i: level0_old[i - 1]), (lambda i: level0_in[i - 1])
         for k in range(1, r + 1):
             ie = ib + h - (r - k) - 1
             if ib > ie:
-                co = _degenerate(ib, ie, mats[k].shape[0])
+                co = _degenerate(ib, ie, len(levels[k]))
             else:
                 co = ratio_coefficients(ib, ie, below, pre, post, field)
                 alpha_count += co.nontrivial_count
             if trace is not None:
-                trace.steps.append(Step("lower", (j, h), n, k, co, mats[k], in_ref[k]))
+                trace.steps.append(Step("lower", (j, h), n, k, co, np.array(
+                    levels[k], dtype=dtype_of(field)), in_ref[k]))
             pre = lazy[k].value
-            mats[k] = apply_bidiagonal(mats[k], co, field)
-            lazy[k] = LazyIntegrals(mats[k], in_ref[k])
+            levels[k] = _lower(levels[k], co, field)
+            lazy[k] = LazyIntegrals(levels[k], in_ref[k])
             post, below = lazy[k].value, co
 
     orders = {}
     for rho in range(r):
         k = r - rho
         sp = space.derivative_space(rho) if rho else space
-        if mats[k].shape != (sp.dimension, refs[k].dimension):
+        mat = np.asarray(levels[k], dtype=dtype_of(field))
+        if mat.shape != (sp.dimension, refs[k].dimension):
             raise NumericalInconsistencyError(
-                f"order {rho} matrix has shape {mats[k].shape}, expected "
+                f"order {rho} matrix has shape {mat.shape}, expected "
                 f"{(sp.dimension, refs[k].dimension)}")
-        orders[rho] = OrderData(mats[k], refs[k], in_ref[k])
+        orders[rho] = OrderData(mat, refs[k], in_ref[k])
     return Bundle(space, orders, field, alpha_count, "rde")

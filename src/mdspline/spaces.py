@@ -14,6 +14,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import sub
 from typing import Sequence
 
 from .errors import SpaceValidationError
@@ -30,6 +32,22 @@ def _integers(values, what: str) -> tuple[int, ...]:
     if out != values:
         raise SpaceValidationError(f"{what} must be integers, got {list(values)}")
     return out
+
+
+def _dimension(degrees, continuities) -> int:
+    return degrees[0] + 1 + sum(map(sub, degrees[1:], continuities))
+
+
+def _extended_partitions(xs, degrees, continuities):
+    """`MDSpace.extended_partitions` from the knots (a, x_1, ..., b) and raw orders."""
+    d, k, inner = degrees, continuities, xs[1:-1]
+    s = list(chain(repeat(xs[0], d[0] + 1), *map(repeat, inner, map(sub, d[1:], k))))
+    del s[:max(0, -(d[0] + 1))]
+    t = list(chain(*map(repeat, inner, map(sub, d[:-1], k)), repeat(xs[-1], d[-1] + 1)))
+    del t[len(t) - max(0, -(d[-1] + 1)):]
+    if not len(s) == len(t) == _dimension(d, k):
+        raise SpaceValidationError("extended partition length mismatch")
+    return tuple(s), tuple(t)
 
 
 @dataclass(frozen=True)
@@ -101,8 +119,7 @@ class MDSpace:
 
     @property
     def dimension(self) -> int:
-        return self.degrees[0] + 1 + sum(
-            d - k for d, k in zip(self.degrees[1:], self.continuities))
+        return _dimension(self.degrees, self.continuities)
 
     def zero_intervals(self) -> tuple[int, ...]:
         """Intervals on which the space contains only the zero function."""
@@ -125,21 +142,7 @@ class MDSpace:
         supported on [s_i, t_i]. Entries with s_i >= t_i mark zero-function
         slots (these occur only in internal spaces).
         """
-        xs = self.xs
-        d, k = self.degrees, self.continuities
-        s: list[float] = [xs[0]] * max(0, d[0] + 1)
-        for i in range(1, self.q + 1):
-            s.extend([xs[i]] * (d[i] - k[i - 1]))
-        del s[:max(0, -(d[0] + 1))]
-        t: list[float] = []
-        for i in range(1, self.q + 1):
-            t.extend([xs[i]] * (d[i - 1] - k[i - 1]))
-        t.extend([xs[-1]] * max(0, d[-1] + 1))
-        if max(0, -(d[-1] + 1)):
-            del t[-max(0, -(d[-1] + 1)):]
-        if len(s) != self.dimension or len(t) != self.dimension:
-            raise SpaceValidationError("extended partition length mismatch")
-        return tuple(s), tuple(t)
+        return _extended_partitions(self.xs, self.degrees, self.continuities)
 
     def associated_c0(self) -> "MDSpace":
         """The smallest containing space glued with C0 continuity at degree changes."""

@@ -32,6 +32,23 @@ def test_accessor_plain_window():
     assert co.nontrivial_count == 2
 
 
+def test_range_reader_matches_the_accessors():
+    # values(lo, hi) reads by slices what alpha(i) and beta(i) give one index
+    # at a time, on every window up to ib = 8, degenerate ones included
+    for ib in range(9):
+        for ie in range(-1, 8):
+            n = max(0, ie - ib + 1)
+            co = RKICoefficients(ib, ie, tuple(F(1, i + 2) for i in range(n)),
+                                 tuple(F(i + 1, i + 2) for i in range(n)))
+            for lo in range(-1, 11):
+                for hi in range(lo - 1, 11):
+                    alphas, betas = co.values(lo, hi)
+                    assert list(alphas) == [co.alpha(i) for i in range(lo, hi + 1)], \
+                        (ib, ie, lo, hi)
+                    assert list(betas) == [co.beta(i) for i in range(lo, hi + 1)], \
+                        (ib, ie, lo, hi)
+
+
 def test_accessor_merge():
     # empty window with ib = ie + 1 adds rows ie and ie + 1
     co = RKICoefficients(3, 2, (), ())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, Trace,
-                      build_matrix_derivative, build_matrix_rki)
+                      build_matrix_derivative, build_matrix_rki, join_core, legacy)
 from mdspline.legacy import alpha_via_derivatives
 from mdspline.oracle import matrix_error, exact_bundle
 from mdspline.presets import preset_space
@@ -37,6 +37,32 @@ def test_exact_replay_equals_stable(sp):
     legacy = build_matrix_derivative(sp, EXACT)
     stable = build_matrix_rki(sp, EXACT)
     assert np.array_equal(np.asarray(legacy.matrix), np.asarray(stable.matrix))
+
+
+def test_derivative_route_reads_only_what_it_uses(monkeypatch):
+    # a section of a multi-section space integrates orders 0 and 1 only, and
+    # each jump step evaluates its two one-sided seam windows once; the
+    # matrices are the stable ones exactly and the order keys are unchanged
+    integrated, windows = [], []
+    c0_integrals, derivatives = join_core.c0_integrals, legacy.eval_c0_derivatives
+    monkeypatch.setattr(join_core, "c0_integrals",
+                        lambda sp, field: integrated.append(sp) or c0_integrals(sp, field))
+    monkeypatch.setattr(legacy, "eval_c0_derivatives",
+                        lambda *args: windows.append(args[2]) or derivatives(*args))
+    one_section = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 3, 3), (2, 1))
+    for sp in [preset_space(name) for name in ("test1", "test2", "test3")] + [one_section]:
+        integrated.clear()
+        windows.clear()
+        trace = Trace()
+        bundle = build_matrix_derivative(sp, EXACT, trace=trace)
+        n = len(sp.section_decomposition().sections)
+        assert len(integrated) == (2 * n if n > 1 else max(sp.degrees) + 1), sp
+        assert set(bundle.orders) == ({0} if n > 1 else set(range(max(sp.degrees) + 1)))
+        assert windows == ["left", "right"] * len(trace.steps), sp
+        with monkeypatch.context() as m:
+            m.setattr(join_core, "c0_integrals", c0_integrals)
+            stable = build_matrix_rki(sp, EXACT)
+        assert np.array_equal(np.asarray(bundle.matrix), np.asarray(stable.matrix)), sp
 
 
 def test_double_precision_drift():

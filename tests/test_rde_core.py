@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import random_space
-from mdspline import EXACT, FLOAT, MDSpace, Trace
+from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
 from mdspline.assembler import auto_plan, rde_cost
+from mdspline.c0_engine import c0_integrals
 from mdspline.join_core import LazyIntegrals, apply_bidiagonal
+from mdspline.presets import PRESETS
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
                                window_start)
 
@@ -120,9 +122,10 @@ def test_rejects_degree_zero():
 
 def test_lazy_integrals_cache():
     mat = np.array([[1.0, 0.0], [0.5, 0.5]])
-    lz = LazyIntegrals(mat, np.array([2.0, 4.0]))
-    assert lz.value(1) == 2.0
-    assert lz.value(2) == 3.0
+    for level in (mat, list(mat)):      # a 2-D array or a list of rows
+        lz = LazyIntegrals(level, np.array([2.0, 4.0]))
+        assert lz.value(1) == 2.0
+        assert lz.value(2) == 3.0
 
 
 def test_lowering_depth():
@@ -146,8 +149,8 @@ def test_cost_model_counts_the_sweep():
 
 
 def test_no_space_per_lowering_row(monkeypatch):
-    # rde_build creates the r references, the first level-0 space and one
-    # level-0 space per step; auto_plan creates none
+    # rde_build creates the r references and the first level-0 space, and no
+    # space per step; auto_plan creates none
     spaces = [random_space(seed, 10, 8) for seed in (3, 7, 11)]
     made = []
     create = MDSpace.create
@@ -160,7 +163,93 @@ def test_no_space_per_lowering_row(monkeypatch):
     for sp in spaces:
         made.clear()
         rde_build(sp, FLOAT)
-        assert len(made) <= lowering_depth(sp) + len(rde_schedule(sp)) + 1, sp
+        assert rde_schedule(sp) and len(made) <= lowering_depth(sp) + 1, sp
         made.clear()
         auto_plan(sp)
         assert made == [], sp
+
+
+def lowering_spaces():
+    """Schedules of every length from 0 (a uniform space) to 65 steps."""
+    return ([MDSpace.create((0.0, 2.0), (1.0,), (3, 3), (1,)), stepped()]
+            + [f() for f in PRESETS.values()] + [random_space(s) for s in range(200)])
+
+
+def test_references_are_integrated_once(monkeypatch):
+    # c0_integrals runs for the r references and the first level-0 space
+    # only, however many steps the schedule has
+    calls = []
+    monkeypatch.setattr(rde_core, "c0_integrals",
+                        lambda sp, field: calls.append(sp) or c0_integrals(sp, field))
+    steps = set()
+    for sp in lowering_spaces():
+        calls.clear()
+        rde_build(sp, FLOAT)
+        assert len(calls) == lowering_depth(sp) + 1, sp
+        steps.add(len(rde_schedule(sp)))
+    assert {0, 1, 3} <= steps and max(steps) == 65
+
+
+def test_steps_combine_only_their_window_rows(monkeypatch):
+    # each apply_bidiagonal call of a lowering gets the rows lo..ie+1 of its
+    # window, whatever the size of the level it acts on
+    rows, levels = [], []
+
+    def recording(matrix, co, field=FLOAT):
+        rows.append(matrix.shape[0])
+        return apply_bidiagonal(matrix, co, field)
+
+    monkeypatch.setattr(rde_core, "apply_bidiagonal", recording)
+    for sp in lowering_spaces():
+        rows.clear()
+        levels.append(rde_build(sp, FLOAT).matrix.shape[0] - max(sp.degrees) - 2)
+        assert max(rows, default=0) <= max(sp.degrees) + 2, sp
+    assert max(levels) >= 30
+
+
+def test_row_lists_and_arrays_agree(monkeypatch):
+    # holding every level as a list of rows or as one array changes no bit of
+    # any order or of any traced level; by default, the q = 39 space holds its
+    # order-0 level (254 x 254 cells at the start) as a list of rows
+    spaces = [stepped(), random_space(5, 40, 8)] + [PRESETS[name]() for name in ("test3", "test5", "test6")] + \
+        [random_space(s) for s in range(0, 200, 5)]
+    for sp in spaces:
+        built = []
+        for cells in (0, 1 << 62):
+            monkeypatch.setattr(rde_core, "ROW_LIST_CELLS", cells)
+            for field in (FLOAT, EXACT) if sp == stepped() else (FLOAT,):
+                trace = Trace()
+                bundle = rde_build(sp, field, trace=trace)
+                built.append([(od.matrix.shape, od.matrix.dtype, od.matrix.tobytes()
+                               if field is FLOAT else list(od.matrix.ravel()))
+                              for od in bundle.orders.values()] +
+                             [s.matrix.tobytes() for s in trace.steps if field is FLOAT])
+        half = len(built) // 2
+        assert built[:half] == built[half:], sp
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_level0_update_is_a_full_integration(monkeypatch, field):
+    # after every step the updated level-0 integrals are, bit for bit, those
+    # of a full c0_integrals over the level-0 space of the new degrees
+    lowered, current, checked = rde_core.lowered_integrals, {}, []
+
+    def checking(before, xs, degrees, continuities, j, field):
+        got = lowered(before, xs, degrees, continuities, j, field)
+        sp, r = current["space"], current["r"]
+        want = c0_integrals(level_space(sp, [d + r for d in degrees], r), field)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), (sp, j)
+        if field is FLOAT:
+            assert got.tobytes() == want.tobytes(), (sp, j)
+        else:
+            assert list(got) == list(want), (sp, j)
+        checked.append(j)
+        return got
+
+    monkeypatch.setattr(rde_core, "lowered_integrals", checking)
+    spaces = lowering_spaces() if field is FLOAT else \
+        [PRESETS[name]() for name in ("cox", "test1", "test3", "table7")]
+    for sp in spaces:
+        current.update(space=sp, r=lowering_depth(sp))
+        rde_build(sp, field)
+    assert len(checked) == sum(len(rde_schedule(sp)) for sp in spaces) > 0
