@@ -34,11 +34,11 @@ def zeros(shape, field) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
 
-def eye(n: int, field) -> np.ndarray:
+def eye(n: int, field, cols: int | None = None) -> np.ndarray:
     if field is Fraction:
-        arr = zeros((n, n), Fraction)
+        arr = zeros((n, cols or n), Fraction)
         for i in range(n):
             arr[i, i] = Fraction(1)
         return arr
-    return np.eye(n, dtype=np.float64)
+    return np.eye(n, cols, dtype=np.float64)
 

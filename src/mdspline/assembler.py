@@ -54,30 +54,25 @@ def auto_plan(space: MDSpace) -> list[str]:
     def group_cost(lo: int, hi: int) -> int:
         return rde_cost(space.degrees[bounds[lo]:bounds[hi + 1]])
 
-    kind = [[RKI, i, i] for i in range(n)]       # strategy, lo section, hi section
-    improved = True
-    while improved:
-        improved = False
-        best = None
-        for p in range(len(kind) - 1):
-            (sa, la, ha), (sb, lb, hb) = kind[p], kind[p + 1]
-            if min(space.degrees[bounds[la]:bounds[hb + 1]]) < 1:
-                continue
-            now = group_cost(la, ha) + group_cost(lb, hb) + \
-                join_cost(dec.joins[ha].continuity)
-            merged = group_cost(la, hb)
-            if merged < now and (best is None or merged - now < best[0]):
-                best = (merged - now, p, la, hb)
-        if best is not None:
-            _, p, la, hb = best
-            kind[p:p + 2] = [[RDE, la, hb]]
-            improved = True
-    plan = [RKI] * n
-    for s, lo, hi in kind:
-        if s == RDE:
-            for i in range(lo, hi + 1):
-                plan[i] = RDE
-    return plan
+    def gain(p: int) -> int:
+        """Cost change of merging groups p and p + 1; 0 if they cannot merge."""
+        (_, la, ha, ca), (_, lb, hb, cb) = kind[p], kind[p + 1]
+        if min(space.degrees[bounds[la]:bounds[hb + 1]]) < 1:
+            return 0
+        return group_cost(la, hb) - (ca + cb + join_cost(dec.joins[ha].continuity))
+
+    # strategy, lo section, hi section, cost; a merge changes the gains of the
+    # pairs next to it only, and the first best merge wins a tie
+    kind = [[RKI, i, i, group_cost(i, i)] for i in range(n)]
+    gains = [gain(p) for p in range(n - 1)]
+    while gains and min(gains) < 0:
+        p = gains.index(min(gains))
+        la, hb = kind[p][1], kind[p + 1][2]
+        kind[p:p + 2] = [[RDE, la, hb, group_cost(la, hb)]]
+        del gains[p]
+        for q in range(max(p - 1, 0), min(p + 1, len(gains))):
+            gains[q] = gain(q)
+    return [s for s, lo, hi, _ in kind for _ in range(lo, hi + 1)]
 
 
 def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._scalars import FLOAT, dtype_of, is_exact
 from .errors import SpaceValidationError
-from .spaces import MDSpace, _extended_partitions
+from .spaces import MDSpace
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,31 @@ def lowered_integrals(before: np.ndarray, xs, degrees, continuities, j: int,
                       field=FLOAT) -> np.ndarray:
     """`c0_integrals` of the space with knots xs and raw degrees and continuities,
     from `before`, those with degrees[j] one higher: only the slots whose support
-    meets interval j (and zero-function slots among them) are summed again."""
-    s, t = _extended_partitions(xs, degrees, continuities)
-    lo, hi = sorted((bisect_left(t, xs[j + 1]), bisect_right(s, xs[j])))
-    mid = _slot_integrals(xs, degrees, s[lo:hi], t[lo:hi], field)
-    return np.concatenate([before[:lo], mid, before[hi + 1:]])
+    meets interval j (and zero-function slots among them) are summed again, and
+    they are found by counting knot multiplicities, not from whole partitions."""
+    d, ks, head = degrees, continuities, max(0, -degrees[0] - 1)   # head: s entries cut
+    s_end = max(d[0] + 1, 0) + sum(d[1:j + 1]) - sum(ks[:j])    # s entries up to x_j, uncut
+    t_end = sum(d[:j]) - sum(ks[:j])                            # t entries before x_{j+1}
+    lo, hi = sorted((min(t_end, len(before) - 1), max(s_end - head, 0)))
+    s = _partition_slice(xs, lambda i: d[i] - ks[i - 1] if i else max(d[0] + 1, 0), j + 1,
+                         s_end, lo + head, hi + head)
+    t = _partition_slice(xs, lambda i: d[i - 1] - ks[i - 1] if i < len(d) else
+                         max(d[-1] + 1, 0), j + 1, t_end, lo, hi)
+    return np.concatenate([before[:lo], _slot_integrals(xs, degrees, s, t, field),
+                           before[hi + 1:]])
+
+
+def _partition_slice(xs, mult, i: int, before: int, p0: int, p1: int) -> list:
+    """Entries p0..p1-1 of the sorted sequence of mult(i) copies of each xs[i],
+    walked from knot i, which `before` entries precede."""
+    while before > p0:
+        i -= 1
+        before -= mult(i)
+    out = []
+    while before < p1:
+        out += [xs[i]] * max(0, min(before + mult(i), p1) - max(before, p0))
+        before, i = before + mult(i), i + 1
+    return out
 
 
 def _slot_integrals(xs, degrees, s, t, field) -> np.ndarray:

@@ -60,6 +60,10 @@ class RKICoefficients:
         return (((1,) * (min(ib_eff - 1, self.ie) - lo + 1) + self.alphas[w:] + (0,) * n)[:n],
                 ((0,) * (ib_eff - lo) + self.betas[w:] + (1,) * n)[:n])
 
+    def shifted(self, by: int) -> "RKICoefficients":
+        """The same step on rows numbered `by` higher."""
+        return RKICoefficients(self.ib + by, self.ie + by, self.alphas, self.betas)
+
     @property
     def window(self) -> tuple[int, int]:
         return (self.ib, self.ie)
@@ -109,13 +113,13 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np
 
 def c0_join_integrals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Concatenate integral vectors, summing over the shared seam function."""
-    out = np.concatenate([left, right])
-    out[len(left) - 1] = left[-1] + right[0]
-    return np.delete(out, len(left))
+    return np.concatenate([left[:-1], [left[-1] + right[0]], right[1:]])
 
 
-def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.ndarray:
-    """Block-join two matrices with a single shared corner entry."""
+def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT,
+                     extra: int = 0) -> np.ndarray:
+    """Block-join two matrices with a single shared corner entry, then `extra`
+    zero columns."""
     la, lb = left.shape
     ra, rb = right.shape
     corner_l, corner_r = left[-1, -1], right[0, 0]
@@ -125,9 +129,9 @@ def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.nda
     elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
         raise NumericalInconsistencyError(
             f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
-    out = zeros((la + ra - 1, lb + rb - 1), field)
+    out = zeros((la + ra - 1, lb + rb - 1 + extra), field)
     out[:la, :lb] = left
-    out[la - 1:, lb - 1:] = right
+    out[la - 1:, lb - 1:lb + rb - 1] = right
     return out
 
 
@@ -161,14 +165,12 @@ def join_spaces(left: MDSpace, right: MDSpace, k: int) -> MDSpace:
 class OrderData:
     """One derivative order rho of a bundle: the basis of the bundle space's
     rho-th derivative space expressed over the directly evaluable `ref` by
-    `matrix`; `integrals0` are the ref integrals."""
+    `matrix`; `integrals0` are the ref integrals and `integrals` those of the
+    basis, matrix.dot(integrals0), which a build carries step by step."""
     matrix: np.ndarray
     ref: MDSpace
     integrals0: np.ndarray
-
-    @property
-    def integrals(self) -> np.ndarray:
-        return self.matrix.dot(self.integrals0)
+    integrals: np.ndarray
 
 
 @dataclass
@@ -215,20 +217,17 @@ class Trace:
     steps: list[Step] = dc_field(default_factory=list)
 
 
-def _glue_coefficients(lo: OrderData) -> RKICoefficients:
+def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
     """The C0 gluing as a step: merge the seam rows of the operands side by side."""
     kl = lo.matrix.shape[0]
-    return RKICoefficients(kl + 1, kl, (), ())
-
-
-def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
-    return Step("join", seam, n, 0, _glue_coefficients(lo),
+    return Step("join", seam, n, 0, RKICoefficients(kl + 1, kl, (), ()),
                 block_diag(lo.matrix, ro.matrix, field),
                 np.concatenate([lo.integrals0, ro.integrals0]))
 
 
 class LazyIntegrals:
-    """Per-index integrals of a represented basis: row of M dotted with IN0."""
+    """Per-index integrals of a represented basis: row of M dotted with IN0. The
+    builds carry theirs; `perfbench` counts `value` calls as the integral dots."""
 
     def __init__(self, matrix: np.ndarray, in0: np.ndarray):
         self.matrix = matrix
@@ -251,7 +250,8 @@ def section_bundle(section: MDSpace, field=FLOAT, top: int | None = None) -> Bun
     orders = {}
     for rho in range(max(top, 1) + 1):
         sp = section.derivative_space(rho)
-        orders[rho] = OrderData(eye(sp.dimension, field), sp, c0_integrals(sp, field))
+        in0 = c0_integrals(sp, field)
+        orders[rho] = OrderData(eye(sp.dimension, field), sp, in0, in0)
     return Bundle(section, orders, field)
 
 
@@ -264,24 +264,48 @@ def _check_positive(value, field):
 
 
 def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
-                       field=FLOAT) -> RKICoefficients:
+                       field=FLOAT, off: int = 1) -> RKICoefficients:
     """Coefficients on window ib..ie of the step above `below`, free of subtraction:
 
         alpha_i = below.alpha(i-1) * pre(i-1) / post(i-1)
         beta_i  = below.beta(i)    * pre(i)   / post(i-1)
 
-    where pre and post map a 1-based index to the basis integrals of the
-    levels before and after `below`.
+    where pre(i) = pre[i - off] and post(i) = post[i - off] are the basis
+    integrals of the levels before and after `below`, from arrays that start
+    at index off.
     """
     a_below, b_below = below.values(ib - 1, ie)
-    pres = list(map(pre, range(ib - 1, ie + 1)))
+    pres = pre[ib - 1 - off:ie + 1 - off].tolist()
     alphas, betas = [], []
-    for n in range(ie - ib + 1):
-        den = post(ib - 1 + n)
+    for n, den in enumerate(post[ib - 1 - off:ie - off].tolist()):
         _check_positive(den, field)
         alphas.append(a_below[n] * pres[n] / den)
         betas.append(b_below[n + 1] * pres[n + 1] / den)
     return make_coefficients(ib, ie, alphas, betas, field)
+
+
+def _seam_block(lo: OrderData, ro: OrderData, n: int, field) -> np.ndarray:
+    """Rows a - n .. a + n of the C0 gluing of the operands (a left rows), which
+    the n steps of join row n combine, with their integrals as a last column.
+    Bidiagonal steps and gluings keep row i of a level inside columns
+    i .. i + (columns - rows), which bounds the block's columns."""
+    (a, _), (kr, cr) = lo.matrix.shape, ro.matrix.shape
+    block = c0_join_matrices(lo.matrix[a - n - 1:, a - n - 1:],
+                             ro.matrix[:n + 1, :n + 1 + cr - kr], field, 1)
+    block[:, -1] = c0_join_integrals(lo.integrals[a - n - 1:], ro.integrals[:n + 1])
+    return block
+
+
+def _join_level(lo: OrderData, ro: OrderData, n: int, block: np.ndarray, field) -> np.ndarray:
+    """The level of join row n whose seam block, after the steps made so far,
+    is `block`: the operand rows above it, the block, the shifted rows below."""
+    (a, cl), (kr, cr) = lo.matrix.shape, ro.matrix.shape
+    top, rows = a - n - 1, block.shape[0]
+    out = zeros((top + rows + kr - n - 1, cl + cr - 1), field)
+    out[:top, :cl] = lo.matrix[:top]
+    out[top:top + rows, top:top + block.shape[1] - 1] = block[:, :-1]
+    out[top + rows:, cl - 1:] = ro.matrix[n + 1:]
+    return out
 
 
 def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
@@ -290,7 +314,9 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
 
     Requires operand orders 0..max(r, 1). The result carries orders 0..r, or
     0..1 for r = 0 where the order-1 data is the independent block join of the
-    operand order-1 data.
+    operand order-1 data. Row n of the join triangle (order r - n) runs its
+    steps on its seam block only; all blocks start after the same `base` rows,
+    so steps and the integrals of row n - 1 they read number block rows.
     """
     if left.field is not field or right.field is not field:
         raise ValueError("operand bundles use a different scalar field")
@@ -304,50 +330,41 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
 
     joined = join_spaces(left.space, right.space, r)
     alpha_count = left.alpha_count + right.alpha_count
-    kl = left.orders[0].matrix.shape[0]
-    ibstart = kl - r + 1
-
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    coeffs: dict[tuple[int, int], RKICoefficients] = {}
-    in0: dict[int, np.ndarray] = {}
-    refs: dict[int, MDSpace] = {}
-    glued: dict[int, np.ndarray] = {}
+    base = left.orders[0].matrix.shape[0] - r - 1
+    orders = {}
     for n in range(r + 1):
         lo, ro = left.orders[r - n], right.orders[r - n]
-        coeffs[(n, 0)] = _glue_coefficients(lo)
-        mats[(n, 0)] = c0_join_matrices(lo.matrix, ro.matrix, field)
-        refs[n] = join_spaces(lo.ref, ro.ref, 0)
-        in0[n] = c0_join_integrals(lo.integrals0, ro.integrals0)
-        if n < r:
-            glued[n] = np.concatenate([lo.integrals, ro.integrals])
+        in0 = c0_join_integrals(lo.integrals0, ro.integrals0)
+        cos = [RKICoefficients(n + 2, n + 1, (), ())]
         if trace is not None:
             trace.steps.append(_glue_step(seam, n, lo, ro, field))
-
-    lazy: dict[tuple[int, int], LazyIntegrals] = {}
-
-    def integrals(n: int, k: int):
-        """1-based integrals of level (n, k); k = -1 is the operands side by side."""
-        if k < 0:
-            return lambda i: glued[n][i - 1]
-        if (n, k) not in lazy:
-            lazy[(n, k)] = LazyIntegrals(mats[(n, k)], in0[n])
-        return lazy[(n, k)].value
-
-    for n in range(1, r + 1):
+        sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
+        if n == 0:      # no step: the whole gluing
+            integrals = c0_join_integrals(lo.integrals, ro.integrals)
+            orders[r] = OrderData(c0_join_matrices(lo.matrix, ro.matrix, field),
+                                  join_spaces(lo.ref, ro.ref, 0), in0, integrals)
+            below, pre = cos, [sides, integrals[base:]]
+            continue
+        block = _seam_block(lo, ro, n, field)
+        ints = [sides, block[:, -1]]
         for k in range(1, n + 1):
-            ib = ibstart + n - k
-            co = ratio_coefficients(ib, ib + k - 1, coeffs[(n - 1, k - 1)],
-                                    integrals(n - 1, k - 2), integrals(n - 1, k - 1), field)
-            coeffs[(n, k)] = co
+            co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1], pre[k], field)
             alpha_count += co.nontrivial_count
-            mats[(n, k)] = apply_bidiagonal(mats[(n, k - 1)], co, field)
+            cos.append(co)
             if trace is not None:
-                trace.steps.append(Step("join", seam, n, k, co, mats[(n, k - 1)], in0[n]))
+                trace.steps.append(Step("join", seam, n, k, co.shifted(base),
+                                        _join_level(lo, ro, n, block, field), in0))
+            block = apply_bidiagonal(block, co, field)
+            ints.append(block[:, -1])
+        orders[r - n] = OrderData(
+            _join_level(lo, ro, n, block, field), join_spaces(lo.ref, ro.ref, 0), in0,
+            np.concatenate([lo.integrals[:base], ints[-1], ro.integrals[n + 1:]]))
+        below, pre = cos, ints
 
-    orders = {r - n: OrderData(mats[(n, n)], refs[n], in0[n]) for n in range(r + 1)}
     if r == 0:
         l1, r1 = left.orders[1], right.orders[1]
         orders[1] = OrderData(block_diag(l1.matrix, r1.matrix, field),
                               join_spaces(l1.ref, r1.ref, -1),
-                              np.concatenate([l1.integrals0, r1.integrals0]))
+                              np.concatenate([l1.integrals0, r1.integrals0]),
+                              np.concatenate([l1.integrals, r1.integrals]))
     return Bundle(joined, orders, field, alpha_count, "rki")

@@ -63,6 +63,6 @@ def legacy_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
             trace.steps.append(Step("legacy", seam, r, k, co, matrix, in0))
         matrix = apply_bidiagonal(matrix, co, field)
     joined = join_spaces(left.space, right.space, r)
-    orders = {0: OrderData(matrix, ref, in0)}
+    orders = {0: OrderData(matrix, ref, in0, matrix.dot(in0))}
     count = left.alpha_count + right.alpha_count + r
     return Bundle(joined, orders, field, count, "derivative")

@@ -18,8 +18,8 @@ import numpy as np
 from ._scalars import FLOAT, dtype_of, eye
 from .c0_engine import c0_integrals, lowered_integrals
 from .errors import NumericalInconsistencyError
-from .join_core import (Bundle, LazyIntegrals, OrderData, RKICoefficients, Step,
-                        Trace, apply_bidiagonal, ratio_coefficients)
+from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
+                        apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
 
 ROW_LIST_CELLS = 1 << 15    # a larger level is a list of rows, which steps share
@@ -55,7 +55,7 @@ def window_start(degrees, continuities, j: int) -> int:
     slots starting at or before the interval; an end before the start is an
     empty window."""
     d, ks = degrees, continuities
-    return d[0] + 2 - d[j] + sum(d[i] - ks[i - 1] for i in range(1, j + 1))
+    return d[0] + 2 - d[j] + sum(d[1:j + 1]) - sum(ks[:j])
 
 
 def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
@@ -66,23 +66,28 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
 
 
 def _lower(level, co: RKICoefficients, field):
-    """The level `co` makes from `level`, never written to: only rows lo..ie+1 (lo
-    as in apply_bidiagonal) pass through apply_bidiagonal, window shifted to match.
-    A row list shares its other rows; a small array copies them, at less cost."""
+    """The level `co` makes from `level`, and the integral column of the rows it
+    combines before and after (None if it only drops a row): only rows lo..ie+1
+    (lo as in apply_bidiagonal) pass through apply_bidiagonal. A row list is
+    updated in place; a small array is copied, at less cost."""
     shift = max(min(co.ib, co.ie + 2) - 1, 1) - 1
-    out = level[:0]             # no row is combined: row ie + 1 is dropped
+    out, pre, post = level[:0], None, None      # no row is combined: row ie + 1 is dropped
     if co.ie > shift:
-        out = apply_bidiagonal(np.asarray(level[shift:co.ie + 1]), RKICoefficients(
-            co.ib - shift, co.ie - shift, co.alphas, co.betas), field)
+        rows = np.asarray(level[shift:co.ie + 1])
+        out = apply_bidiagonal(rows, co.shifted(-shift), field)
+        pre, post = rows[:, -1], out[:, -1]
     if isinstance(level, np.ndarray):
-        return np.concatenate([level[:shift], out, level[co.ie + 1:]])
-    return level[:shift] + list(out) + level[co.ie + 1:]
+        return np.concatenate([level[:shift], out, level[co.ie + 1:]]), pre, post
+    level[shift:co.ie + 1] = list(out)
+    return level, pre, post
 
 
 def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
               trace: Trace | None = None) -> Bundle:
     """Bundle representing `space` over uniform-degree references, with
-    derivative orders 0..r-1 where r = lowering_depth(space, min_orders)."""
+    derivative orders 0..r-1 where r = lowering_depth(space, min_orders).
+    Each level carries its basis integrals as one extra last column, so that
+    every step updates them with its rows."""
     if min(space.degrees) < 1:
         raise ValueError("degree lowering needs every interval degree to be at least 1")
     r = lowering_depth(space, min_orders)
@@ -91,44 +96,42 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     refs = {k: level_space(space, uniform, r - k) for k in range(1, r + 1)}
     in_ref = {k: c0_integrals(refs[k], field) for k in range(1, r + 1)}
 
-    levels = {k: eye(refs[k].dimension, field) for k in range(1, r + 1)}
-    levels.update((k, list(m)) for k, m in levels.items() if m.size > ROW_LIST_CELLS)
-    lazy = {k: LazyIntegrals(levels[k], in_ref[k]) for k in range(1, r + 1)}
+    levels = {k: eye(refs[k].dimension, field, refs[k].dimension + 1) for k in range(1, r + 1)}
+    for k, m in levels.items():     # one allocation per level, integrals written in place
+        m[:, -1] = in_ref[k]
+        levels[k] = list(m) if m.size > ROW_LIST_CELLS else m
     alpha_count = 0
 
-    degrees = list(uniform)
-    ks0 = [k - r for k in space.continuities]
-    level0_in = c0_integrals(level_space(space, degrees, r), field)
+    deg0, ks0 = [d - r for d in uniform], [k - r for k in space.continuities]
+    level0_in = c0_integrals(level_space(space, uniform, r), field)
     for n, (j, h) in enumerate(rde_schedule(space), 1):
-        degrees[j] = h
-        ib = window_start(degrees, space.continuities, j)
+        deg0[j] = h - r
+        ib = window_start(deg0, ks0, j)     # a uniform shift of the orders keeps it
         level0_old, level0_in = level0_in, lowered_integrals(
-            level0_in, space.xs, [d - r for d in degrees], ks0, j, field)
+            level0_in, space.xs, deg0, ks0, j, field)
         below = _degenerate(ib, ib + h - r - 1, len(level0_old))
-        pre, post = (lambda i: level0_old[i - 1]), (lambda i: level0_in[i - 1])
+        pre, post, off = level0_old, level0_in, 1
         for k in range(1, r + 1):
             ie = ib + h - (r - k) - 1
             if ib > ie:
                 co = _degenerate(ib, ie, len(levels[k]))
             else:
-                co = ratio_coefficients(ib, ie, below, pre, post, field)
+                co = ratio_coefficients(ib, ie, below, pre, post, field, off)
                 alpha_count += co.nontrivial_count
             if trace is not None:
                 trace.steps.append(Step("lower", (j, h), n, k, co, np.array(
-                    levels[k], dtype=dtype_of(field)), in_ref[k]))
-            pre = lazy[k].value
-            levels[k] = _lower(levels[k], co, field)
-            lazy[k] = LazyIntegrals(levels[k], in_ref[k])
-            post, below = lazy[k].value, co
+                    levels[k], dtype=dtype_of(field))[:, :-1], in_ref[k]))
+            levels[k], pre, post = _lower(levels[k], co, field)
+            off, below = ib - 1, co
 
     orders = {}
     for rho in range(r):
         k = r - rho
         sp = space.derivative_space(rho) if rho else space
-        mat = np.asarray(levels[k], dtype=dtype_of(field))
-        if mat.shape != (sp.dimension, refs[k].dimension):
+        level = np.asarray(levels[k], dtype=dtype_of(field))
+        if level.shape != (sp.dimension, refs[k].dimension + 1):
             raise NumericalInconsistencyError(
-                f"order {rho} matrix has shape {mat.shape}, expected "
+                f"order {rho} matrix has shape {level[:, :-1].shape}, expected "
                 f"{(sp.dimension, refs[k].dimension)}")
-        orders[rho] = OrderData(mat, refs[k], in_ref[k])
+        orders[rho] = OrderData(level[:, :-1], refs[k], in_ref[k], level[:, -1])
     return Bundle(space, orders, field, alpha_count, "rde")

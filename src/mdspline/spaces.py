@@ -38,18 +38,6 @@ def _dimension(degrees, continuities) -> int:
     return degrees[0] + 1 + sum(map(sub, degrees[1:], continuities))
 
 
-def _extended_partitions(xs, degrees, continuities):
-    """`MDSpace.extended_partitions` from the knots (a, x_1, ..., b) and raw orders."""
-    d, k, inner = degrees, continuities, xs[1:-1]
-    s = list(chain(repeat(xs[0], d[0] + 1), *map(repeat, inner, map(sub, d[1:], k))))
-    del s[:max(0, -(d[0] + 1))]
-    t = list(chain(*map(repeat, inner, map(sub, d[:-1], k)), repeat(xs[-1], d[-1] + 1)))
-    del t[len(t) - max(0, -(d[-1] + 1)):]
-    if not len(s) == len(t) == _dimension(d, k):
-        raise SpaceValidationError("extended partition length mismatch")
-    return tuple(s), tuple(t)
-
-
 @dataclass(frozen=True)
 class MDSpace:
     a: float
@@ -142,7 +130,14 @@ class MDSpace:
         supported on [s_i, t_i]. Entries with s_i >= t_i mark zero-function
         slots (these occur only in internal spaces).
         """
-        return _extended_partitions(self.xs, self.degrees, self.continuities)
+        d, k, inner = self.degrees, self.continuities, self.breakpoints
+        s = list(chain(repeat(self.a, d[0] + 1), *map(repeat, inner, map(sub, d[1:], k))))
+        del s[:max(0, -(d[0] + 1))]
+        t = list(chain(*map(repeat, inner, map(sub, d[:-1], k)), repeat(self.b, d[-1] + 1)))
+        del t[len(t) - max(0, -(d[-1] + 1)):]
+        if not len(s) == len(t) == _dimension(d, k):
+            raise SpaceValidationError("extended partition length mismatch")
+        return tuple(s), tuple(t)
 
     def associated_c0(self) -> "MDSpace":
         """The smallest containing space glued with C0 continuity at degree changes."""

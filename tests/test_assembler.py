@@ -13,8 +13,9 @@ import pytest
 from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build_matrix,
                       build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
                       build_matrix_rki, eval_basis)
+from conftest import random_space
 from mdspline.assembler import auto_plan, join_cost, rde_cost
-from mdspline.presets import table7
+from mdspline.presets import PRESETS, table7
 
 
 def worked_space():
@@ -181,3 +182,26 @@ def test_alpha_counts_by_strategy():
     rde_n = build_matrix_rde(sp, FLOAT).alpha_count
     mixed_n = build_matrix_mixed(sp, FLOAT).alpha_count
     assert mixed_n <= min(rde_n, 14)
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_integrals_are_carried(field):
+    # every order of every bundle carries the integrals of its basis, step by
+    # step: exactly the matrix times the reference integrals in rational
+    # arithmetic, within a few roundings in float
+    if field is EXACT:
+        spaces = [PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "table7")]
+    else:
+        spaces = [f() for f in PRESETS.values()] + [random_space(s) for s in range(200)]
+    checked = 0
+    for sp in spaces:
+        for route in ("rki", "rde", "mixed"):
+            for rho, od in build_matrix(sp, route, field).orders.items():
+                dot = od.matrix.dot(od.integrals0)
+                if field is EXACT:
+                    assert list(od.integrals) == list(dot), (sp, route, rho)
+                else:
+                    assert np.all(np.abs(od.integrals - dot) <= 1e-14 * np.abs(dot)), \
+                        (sp, route, rho)
+                checked += 1
+    assert checked > (2000 if field is FLOAT else 50)

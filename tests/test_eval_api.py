@@ -170,10 +170,11 @@ def test_eval_rejects_a_split_row_band():
     # rows 1 and 3 meet the hats on [0, 1], row 2 lies on [1, 2] only
     ref = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,))
     matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    bundle = Bundle(ref, {0: OrderData(matrix, ref, np.array([0.5, 1.0, 0.5]))})
+    in0 = np.array([0.5, 1.0, 0.5])
+    bundle = Bundle(ref, {0: OrderData(matrix, ref, in0, matrix.dot(in0))})
     with pytest.raises(NumericalInconsistencyError):
         eval_basis(bundle, 0.5)
-    zero_row = Bundle(ref, {0: OrderData(np.eye(3) * [[1], [0], [1]], ref,
-                                         np.array([0.5, 1.0, 0.5]))})
+    matrix = np.eye(3) * [[1], [0], [1]]
+    zero_row = Bundle(ref, {0: OrderData(matrix, ref, in0, matrix.dot(in0))})
     with pytest.raises(NumericalInconsistencyError):
         eval_basis(zero_row, 0.5)

@@ -314,3 +314,35 @@ def test_pair_sums_exact():
         co = step.coefficients
         assert all(a + b == 1 for a, b in zip(co.alphas, co.betas))
         assert all(0 < a <= 1 for a in co.alphas)
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_join_steps_combine_only_the_seam_block(monkeypatch, field):
+    # every bidiagonal step of a continuity-r join gets the 2r + 1 rows around
+    # the seam at most, however large the levels it joins
+    rows, joined = [], []
+    real_join, real_apply = cr_join, apply_bidiagonal
+
+    def joining(left, right, r, field, trace):
+        rows.append((r, []))
+        out = real_join(left, right, r, field, trace)
+        joined.append(out.matrix.shape[0] - (2 * r + 1))
+        return out
+
+    def applying(matrix, co, field=FLOAT):
+        rows[-1][1].append(matrix.shape[0])
+        return real_apply(matrix, co, field)
+
+    monkeypatch.setattr(assembler, "cr_join", joining)
+    monkeypatch.setattr(join_core, "apply_bidiagonal", applying)
+    if field is FLOAT:
+        spaces = [f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE] \
+            + [random_space(seed) for seed in range(200)] + [random_space(7, 40, 6)]
+    else:
+        spaces = [PRESETS[name]() for name in ("cox", "test1", "test3", "table7")]
+    for sp in spaces:
+        for route in ("rki", "mixed"):
+            build_matrix(sp, route, field)
+    assert all(n <= 2 * r + 1 for r, ns in rows for n in ns)
+    assert sum(len(ns) for _, ns in rows) > (1000 if field is FLOAT else 20)
+    assert max(joined) >= (50 if field is FLOAT else 1)
