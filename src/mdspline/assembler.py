@@ -116,9 +116,8 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
         sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
         blocks.append(rde_build(sub, field, max(need, default=1), trace))
     join = legacy_join if route == DERIVATIVE else cr_join
-    seams = sorted((dec.joins[hi] for _, hi in groups[:-1]),
-                   key=lambda jn: (-jn.continuity, jn.index))
-    for jn in seams:
+    seams = {dec.joins[hi] for _, hi in groups[:-1]}
+    for jn in (jn for jn in dec.join_order if jn in seams):
         pos = next(i for i, b in enumerate(blocks) if b.space.b == jn.x)
         left, right = blocks[pos], blocks[pos + 1]
         blocks[pos:pos + 2] = [join(left, right, jn.continuity, field, trace)]

@@ -137,51 +137,12 @@ def build_layout(space: MDSpace) -> SlotLayout:
 def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     """Integral of each basis function: sum of (piece width)/(degree+1) over
     the support pieces. Zero-function slots get 0."""
-    s, t = space.extended_partitions()
-    return _slot_integrals(space.xs, space.degrees, s, t, field)
-
-
-def lowered_integrals(before: np.ndarray, xs, degrees, continuities, j: int,
-                      field=FLOAT) -> np.ndarray:
-    """`c0_integrals` of the space with knots xs and raw degrees and continuities,
-    from `before`, those with degrees[j] one higher: only the slots whose support
-    meets interval j (and zero-function slots among them) are summed again, and
-    they are found by counting knot multiplicities, not from whole partitions."""
-    d, ks, head = degrees, continuities, max(0, -degrees[0] - 1)   # head: s entries cut
-    s_end = max(d[0] + 1, 0) + sum(d[1:j + 1]) - sum(ks[:j])    # s entries up to x_j, uncut
-    t_end = sum(d[:j]) - sum(ks[:j])                            # t entries before x_{j+1}
-    lo, hi = sorted((min(t_end, len(before) - 1), max(s_end - head, 0)))
-    s = _partition_slice(xs, lambda i: d[i] - ks[i - 1] if i else max(d[0] + 1, 0), j + 1,
-                         s_end, lo + head, hi + head)
-    t = _partition_slice(xs, lambda i: d[i - 1] - ks[i - 1] if i < len(d) else
-                         max(d[-1] + 1, 0), j + 1, t_end, lo, hi)
-    return np.concatenate([before[:lo], _slot_integrals(xs, degrees, s, t, field),
-                           before[hi + 1:]])
-
-
-def _partition_slice(xs, mult, i: int, before: int, p0: int, p1: int) -> list:
-    """Entries p0..p1-1 of the sorted sequence of mult(i) copies of each xs[i],
-    walked from knot i, which `before` entries precede."""
-    while before > p0:
-        i -= 1
-        before -= mult(i)
+    xs, conv = space.xs, Fraction if is_exact(field) else float
+    pos = {x: i for i, x in enumerate(xs)}
+    piece = [(conv(xs[i + 1]) - conv(xs[i])) / (d + 1) if d >= 0 else None
+             for i, d in enumerate(space.degrees)]      # no function on that interval
     out = []
-    while before < p1:
-        out += [xs[i]] * max(0, min(before + mult(i), p1) - max(before, p0))
-        before, i = before + mult(i), i + 1
-    return out
-
-
-def _slot_integrals(xs, degrees, s, t, field) -> np.ndarray:
-    """The integrals of `c0_integrals` for the slots supported on [s_i, t_i],
-    read from the knots s[0] to t[-1] only."""
-    conv = Fraction if is_exact(field) else float
-    k0, k1 = (bisect_left(xs, s[0]), bisect_right(xs, t[-1])) if s else (0, 0)
-    pos = {xs[i]: i - k0 for i in range(k0, k1)}
-    piece = [(conv(xs[i + 1]) - conv(xs[i])) / (degrees[i] + 1) if degrees[i] >= 0
-             else None for i in range(k0, k1 - 1)]      # no function on that interval
-    out = []
-    for a, b in zip(s, t):
+    for a, b in zip(*space.extended_partitions()):
         acc = field(0)
         for i in range(pos[a], pos[b]) if a < b else ():
             acc = acc + piece[i]

@@ -83,6 +83,8 @@ def _matrix_rows(bundle):
 
 
 def cmd_matrix(args) -> int:
+    if args.oracle and args.format != "json":
+        raise ValueError("--oracle needs --format json")
     space = _load_space(args)
     bundle = build_matrix(space, args.method)
     meta, rows = _matrix_rows(bundle)

@@ -99,7 +99,8 @@ def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
     exp[index - 1] -= 1
     if (hat_space.degrees != space.degrees
             or tuple(exp) != hat_space.continuities
-            or hat_space.breakpoints != space.breakpoints):
+            or (hat_space.a, hat_space.b, hat_space.breakpoints)
+            != (space.a, space.b, space.breakpoints)):
         raise ValueError("hat space is not a single-insertion refinement")
     coefficients = np.asarray(coefficients, dtype=dtype_of(field))
     if len(coefficients) != space.dimension:

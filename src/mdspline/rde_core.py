@@ -5,9 +5,9 @@ The construction runs on a rectangular family of spaces: row k holds the
 (r - k)-th derivative images of the degree-lowering chain, row r the chain
 itself. Each lowering step is a bidiagonal row combination whose window sits
 over the affected interval; its coefficients follow from the row below by the
-same integral ratio recurrence used for continuity-raising joins. Row 0 never
-needs coefficients of its own, because r is at least the maximum degree minus
-one and there every step window is empty: its step only merges or drops rows,
+same integral ratio recurrence used for continuity-raising joins. Row 0 is a
+level that carries only its integrals: r is at least the maximum degree minus
+one, so there every step window is empty, its step only merges or drops rows,
 and it serves row 1 as the step below.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._scalars import FLOAT, dtype_of, eye
-from .c0_engine import c0_integrals, lowered_integrals
+from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
                         apply_bidiagonal, ratio_coefficients)
@@ -92,33 +92,28 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
         raise ValueError("degree lowering needs every interval degree to be at least 1")
     r = lowering_depth(space, min_orders)
 
-    uniform = [max(space.degrees)] * (space.q + 1)
-    refs = {k: level_space(space, uniform, r - k) for k in range(1, r + 1)}
-    in_ref = {k: c0_integrals(refs[k], field) for k in range(1, r + 1)}
+    degrees = [max(space.degrees)] * (space.q + 1)
+    refs = {k: level_space(space, degrees, r - k) for k in range(r + 1)}
+    in_ref = {k: c0_integrals(refs[k], field) for k in range(r + 1)}
 
-    levels = {k: eye(refs[k].dimension, field, refs[k].dimension + 1) for k in range(1, r + 1)}
-    for k, m in levels.items():     # one allocation per level, integrals written in place
+    levels = {0: in_ref[0][:, None]}    # row 0 carries only its integrals
+    for k in range(1, r + 1):     # one allocation per level, integrals written in place
+        m = eye(refs[k].dimension, field, refs[k].dimension + 1)
         m[:, -1] = in_ref[k]
         levels[k] = list(m) if m.size > ROW_LIST_CELLS else m
     alpha_count = 0
 
-    deg0, ks0 = [d - r for d in uniform], [k - r for k in space.continuities]
-    level0_in = c0_integrals(level_space(space, uniform, r), field)
     for n, (j, h) in enumerate(rde_schedule(space), 1):
-        deg0[j] = h - r
-        ib = window_start(deg0, ks0, j)     # a uniform shift of the orders keeps it
-        level0_old, level0_in = level0_in, lowered_integrals(
-            level0_in, space.xs, deg0, ks0, j, field)
-        below = _degenerate(ib, ib + h - r - 1, len(level0_old))
-        pre, post, off = level0_old, level0_in, 1
-        for k in range(1, r + 1):
+        degrees[j] = h
+        ib = window_start(degrees, space.continuities, j)
+        for k in range(r + 1):      # row 0's window is empty: it sets below, pre, post
             ie = ib + h - (r - k) - 1
             if ib > ie:
                 co = _degenerate(ib, ie, len(levels[k]))
             else:
                 co = ratio_coefficients(ib, ie, below, pre, post, field, off)
                 alpha_count += co.nontrivial_count
-            if trace is not None:
+            if trace is not None and k:
                 trace.steps.append(Step("lower", (j, h), n, k, co, np.array(
                     levels[k], dtype=dtype_of(field))[:, :-1], in_ref[k]))
             levels[k], pre, post = _lower(levels[k], co, field)

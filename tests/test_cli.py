@@ -109,6 +109,15 @@ def test_matrix_json_oracle(capsys, tmp_path):
     assert np.array(doc["matrix"]).shape == (3, 4)
 
 
+def test_matrix_oracle_needs_json(capsys, tmp_path):
+    # the csv format has no place for the oracle output
+    out_path = tmp_path / "m.csv"
+    rc, out, err = run(capsys, "matrix", "--preset", "test1", "--oracle",
+                       "--out", str(out_path))
+    assert rc == 1 and out == "" and not out_path.exists()
+    assert err.startswith("error:") and "--oracle" in err and "Traceback" not in err
+
+
 def test_eval_grid_with_coeffs_and_abscissae(capsys, tmp_path):
     path = space_file(tmp_path, {"interval": [0.0, 2.0], "breakpoints": [1.0],
                                  "degrees": [2, 2], "continuities": [1]})

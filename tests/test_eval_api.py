@@ -143,6 +143,15 @@ def test_insert_knot_validates_relationship():
         insert_knot_coeffs(sp, hat, np.zeros(sp.dimension + 1), 1, FLOAT)
 
 
+def test_insert_knot_rejects_a_hat_space_on_another_interval():
+    # same breakpoints, degrees and lowered continuity, but the abscissae of
+    # [0.5, 3.5] would give other weights
+    sp = MDSpace.create((0.0, 4.0), (1.0, 2.0, 3.0), (3, 2, 3, 3), (2, 1, 2))
+    hat = MDSpace.create((0.5, 3.5), (1.0, 2.0, 3.0), (3, 2, 3, 3), (1, 1, 2))
+    with pytest.raises(ValueError, match="single-insertion refinement"):
+        insert_knot_coeffs(sp, hat, np.zeros(sp.dimension), 1, FLOAT)
+
+
 def test_insert_knot_index_outside_the_breakpoints():
     # each hat space matches the continuity list that the index would wrap to
     sp, hat = insertion_pair()

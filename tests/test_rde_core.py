@@ -229,27 +229,35 @@ def test_row_lists_and_arrays_agree(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
-def test_level0_update_is_a_full_integration(monkeypatch, field):
-    # after every step the updated level-0 integrals are, bit for bit, those
-    # of a full c0_integrals over the level-0 space of the new degrees
-    lowered, current, checked = rde_core.lowered_integrals, {}, []
+def test_level0_column_is_a_full_integration(monkeypatch, field):
+    # row 0 is a one-column level of integrals that the steps merge and drop
+    # like any other level: after every step it is, bit for bit, the
+    # c0_integrals of the level-0 space of the new degrees
+    lower, made = rde_core._lower, []
 
-    def checking(before, xs, degrees, continuities, j, field):
-        got = lowered(before, xs, degrees, continuities, j, field)
-        sp, r = current["space"], current["r"]
-        want = c0_integrals(level_space(sp, [d + r for d in degrees], r), field)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), (sp, j)
-        if field is FLOAT:
-            assert got.tobytes() == want.tobytes(), (sp, j)
-        else:
-            assert list(got) == list(want), (sp, j)
-        checked.append(j)
-        return got
+    def recording(level, co, field):
+        out = lower(level, co, field)
+        made.append(out[0])
+        return out
 
-    monkeypatch.setattr(rde_core, "lowered_integrals", checking)
+    monkeypatch.setattr(rde_core, "_lower", recording)
     spaces = lowering_spaces() if field is FLOAT else \
         [PRESETS[name]() for name in ("cox", "test1", "test3", "table7")]
+    checked = 0
     for sp in spaces:
-        current.update(space=sp, r=lowering_depth(sp))
+        made.clear()
+        r, schedule = lowering_depth(sp), rde_schedule(sp)
         rde_build(sp, field)
-    assert len(checked) == sum(len(rde_schedule(sp)) for sp in spaces) > 0
+        assert len(made) == (r + 1) * len(schedule), sp
+        degrees = [max(sp.degrees)] * (sp.q + 1)
+        for (j, h), level in zip(schedule, made[::r + 1]):
+            degrees[j] = h
+            want = c0_integrals(level_space(sp, degrees, r), field)
+            assert level.shape == (len(want), 1), (sp, j, h)
+            got = level[:, 0]
+            if field is FLOAT:
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (sp, j, h)
+            else:
+                assert list(got) == list(want), (sp, j, h)
+            checked += 1
+    assert checked == sum(len(rde_schedule(sp)) for sp in spaces) > 0
