@@ -113,7 +113,11 @@ def cmd_matrix(args) -> int:
 
 def _parse_points(args, space: MDSpace) -> list[float]:
     if args.points:
-        return [float(tok) for tok in args.points.split(",")]
+        points = [float(tok) for tok in args.points.split(",")]
+        outside = [x for x in points if not space.a <= x <= space.b]    # NaN too
+        if outside:
+            raise ValueError(f"points {outside} outside [{space.a}, {space.b}]")
+        return points
     n = 11 if args.grid is None else args.grid
     if n < 2:
         raise ValueError(f"--grid needs at least 2 points, got {n}")
@@ -122,28 +126,27 @@ def _parse_points(args, space: MDSpace) -> list[float]:
 
 
 def cmd_eval(args) -> int:
+    """Every row is computed before the output opens, so bad input writes nothing."""
     space = _load_space(args)
     points = _parse_points(args, space)
-    bundle = build_matrix(space, args.method)
     coeffs = None
     if args.coeffs:
         with open(args.coeffs) as fh:
             coeffs = [float(tok) for tok in fh.read().replace(",", " ").split()]
+        if len(coeffs) != space.dimension:
+            raise ValueError(f"expected {space.dimension} coefficients, got {len(coeffs)}")
+    bundle = build_matrix(space, args.method)
+    rows = [["greville"] + [_fmt(v) for v in greville(bundle)]] if args.greville else []
+    rows.append(["x"] + [f"N_{i}" for i in range(1, space.dimension + 1)]
+                + ([] if coeffs is None else ["spline"]))
+    for x in points:
+        row = [_fmt(x)] + [_fmt(v) for v in eval_basis(bundle, x).scatter()]
+        if coeffs is not None:
+            row.append(_fmt(eval_spline(bundle, coeffs, x)))
+        rows.append(row)
     out = _open_out(args)
     try:
-        w = csv.writer(out)
-        if args.greville:
-            w.writerow(["greville"] + [_fmt(v) for v in greville(bundle)])
-        header = ["x"] + [f"N_{i}" for i in range(1, space.dimension + 1)]
-        if coeffs is not None:
-            header.append("spline")
-        w.writerow(header)
-        for x in points:
-            vals = eval_basis(bundle, x).scatter()
-            row = [_fmt(x)] + [_fmt(v) for v in vals]
-            if coeffs is not None:
-                row.append(_fmt(eval_spline(bundle, coeffs, x)))
-            w.writerow(row)
+        csv.writer(out).writerows(rows)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -194,9 +197,12 @@ def _experiment_table7(methods, w):
 
 def cmd_experiment(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError(f"--methods names no method: {args.methods!r}")
     for m in methods:
         if _route(m) not in ROUTES:
             raise SpaceValidationError(f"unknown method {m!r}")
+    preset_space(args.preset)       # an unknown name fails before the output opens
     out = _open_out(args)
     try:
         w = csv.writer(out)

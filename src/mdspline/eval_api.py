@@ -86,11 +86,12 @@ def greville(bundle: Bundle) -> np.ndarray:
     return out
 
 
-def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
-                       index: int, field=FLOAT) -> np.ndarray:
-    """Coefficients of a spline of `space` re-expressed in `hat_space`, which
-    must equal `space` with the continuity at breakpoint `index` lowered by 1.
-    The conversion weights come from the two abscissae vectors."""
+def insertion_weights(space: MDSpace, hat_space: MDSpace, index: int,
+                      field=FLOAT) -> tuple[int, list]:
+    """First index ib and weights alpha_ib, .., alpha_kl of the insertion that
+    takes `space` to `hat_space`, which must equal `space` with the continuity
+    at breakpoint `index` lowered by 1; kl is the dimension of `space` over
+    [a, x_index]. The weights come from the two abscissae vectors."""
     from .assembler import build_matrix_rki
 
     if not 1 <= index <= space.q:
@@ -102,23 +103,31 @@ def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
             or (hat_space.a, hat_space.b, hat_space.breakpoints)
             != (space.a, space.b, space.breakpoints)):
         raise ValueError("hat space is not a single-insertion refinement")
+    xi = greville(build_matrix_rki(space, field))
+    xi_hat = greville(build_matrix_rki(hat_space, field))
+    kl = space.restrict(0, index).dimension
+    ib = kl - space.continuities[index - 1] + 1
+    alphas = []
+    for i in range(ib, kl + 1):
+        alphas.append((xi_hat[i - 1] - xi[i - 2]) / (xi[i - 1] - xi[i - 2]))
+        if not 0 < alphas[-1] <= 1:
+            raise NumericalInconsistencyError(f"insertion weight {alphas[-1]!r} out of range")
+    return ib, alphas
+
+
+def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
+                       index: int, field=FLOAT) -> np.ndarray:
+    """Coefficients of a spline of `space` re-expressed in `hat_space`, with
+    the weights of `insertion_weights`."""
+    ib, alphas = insertion_weights(space, hat_space, index, field)
     coefficients = np.asarray(coefficients, dtype=dtype_of(field))
     if len(coefficients) != space.dimension:
         raise ValueError(f"expected {space.dimension} coefficients")
 
-    xi = greville(build_matrix_rki(space, field))
-    xi_hat = greville(build_matrix_rki(hat_space, field))
-    kl = space.restrict(0, index).dimension
-    kj = space.continuities[index - 1]
-    ib, ie = kl - kj + 1, kl
-
+    ie = ib + len(alphas) - 1
     out = np.empty(hat_space.dimension, dtype=dtype_of(field))
     out[:ib - 1] = coefficients[:ib - 1]
-    for i in range(ib, ie + 1):
-        den = xi[i - 1] - xi[i - 2]
-        alpha = (xi_hat[i - 1] - xi[i - 2]) / den
-        if not 0 < alpha <= 1:
-            raise NumericalInconsistencyError(f"insertion weight {alpha!r} out of range")
+    for i, alpha in enumerate(alphas, ib):
         out[i - 1] = alpha * coefficients[i - 1] + (1 - alpha) * coefficients[i - 2]
     out[ie:] = coefficients[ie - 1:]
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from ._scalars import EXACT
 from .assembler import DERIVATIVE, RKI, build_matrix, build_matrix_rki
 from .errors import NumericalInconsistencyError
-from .eval_api import eval_basis
+from .eval_api import eval_basis, insertion_weights
 from .join_core import Bundle, Trace, apply_bidiagonal
 from .spaces import MDSpace
 
@@ -133,11 +133,9 @@ def derivative_formula_crosscheck(space: MDSpace) -> int:
 
 
 def boehm_crosscheck(space: MDSpace, index: int) -> int:
-    """On a conventional space, the insertion weights from the abscissae must
-    equal (x_j - s_i) / (s_{i+d} - s_i) over the extended partition, with b
-    appended degree+1 times. Exact equality or raise."""
-    from .eval_api import greville
-
+    """On a conventional space, the insertion weights that `insert_knot_coeffs`
+    applies must equal (x_j - s_i) / (s_{i+d} - s_i) over the extended
+    partition, with b appended degree+1 times. Exact equality or raise."""
     if len(set(space.degrees)) != 1:
         raise ValueError("classical insertion weights need one global degree")
     d = space.degrees[0]
@@ -148,19 +146,13 @@ def boehm_crosscheck(space: MDSpace, index: int) -> int:
     hat = MDSpace.create((space.a, space.b), space.breakpoints, space.degrees,
                          tuple(k - (1 if i + 1 == index else 0)
                                for i, k in enumerate(space.continuities)))
-    xi = greville(build_matrix_rki(space, EXACT))
-    xi_hat = greville(build_matrix_rki(hat, EXACT))
-    kl = space.restrict(0, index).dimension
-    kj = space.continuities[index - 1]
-    checked = 0
-    for i in range(kl - kj + 1, kl + 1):
-        via_abscissae = (xi_hat[i - 1] - xi[i - 2]) / (xi[i - 1] - xi[i - 2])
+    ib, weights = insertion_weights(space, hat, index, EXACT)
+    for i, via_abscissae in enumerate(weights, ib):
         classical = (xj - s[i - 1]) / (s[i + d - 1] - s[i - 1])
         if via_abscissae != classical:
             raise NumericalInconsistencyError(
                 f"weight {i}: {via_abscissae} != {classical}")
-        checked += 1
-    return checked
+    return len(weights)
 
 
 def fraction_matrix_strings(matrix: np.ndarray) -> list[list[str]]:

@@ -8,21 +8,20 @@ over the affected interval; its coefficients follow from the row below by the
 same integral ratio recurrence used for continuity-raising joins. Row 0 is a
 level that carries only its integrals: r is at least the maximum degree minus
 one, so there every step window is empty, its step only merges or drops rows,
-and it serves row 1 as the step below.
+and it serves row 1 as the step below. Each level is one array, written in
+place: steps run left to right, and a row no step has reached only moves up.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, eye
+from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
                         apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
-
-ROW_LIST_CELLS = 1 << 15    # a larger level is a list of rows, which steps share
 
 
 def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
@@ -41,11 +40,12 @@ def lowering_depth(space: MDSpace, min_orders: int = 1) -> int:
 
 
 def level_space(space: MDSpace, degrees, drop: int) -> MDSpace:
-    return MDSpace.create(
-        (space.a, space.b), space.breakpoints,
-        tuple(d - drop for d in degrees),
-        tuple(k - drop for k in space.continuities),
-        internal=True)
+    """`space` with these degrees, all orders lowered by `drop`: validated, but
+    not converted, since every field already has its type."""
+    out = MDSpace(space.a, space.b, space.breakpoints, tuple(d - drop for d in degrees),
+                  tuple(k - drop for k in space.continuities), internal=True)
+    out.validate()
+    return out
 
 
 def window_start(degrees, continuities, j: int) -> int:
@@ -65,21 +65,27 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
     return RKICoefficients(min(ib_raw, ie + 2), ie, (), ())
 
 
+def _rows(level) -> np.ndarray:
+    m, done, gone = level
+    return np.concatenate([m[:done], m[done + gone:]])
+
+
 def _lower(level, co: RKICoefficients, field):
-    """The level `co` makes from `level`, and the integral column of the rows it
-    combines before and after (None if it only drops a row): only rows lo..ie+1
-    (lo as in apply_bidiagonal) pass through apply_bidiagonal. A row list is
-    updated in place; a small array is copied, at less cost."""
+    """Make the level `co` makes from `level` = [array, done, gone], in place:
+    rows < done sit at their own index, later ones `gone` rows down. Return the
+    integral column of rows lo..ie+1 (lo as in apply_bidiagonal) and of the rows
+    they make, or None twice if the step only drops row ie + 1."""
+    m, done, gone = level
     shift = max(min(co.ib, co.ie + 2) - 1, 1) - 1
-    out, pre, post = level[:0], None, None      # no row is combined: row ie + 1 is dropped
+    if done > co.ie + 1:
+        raise NumericalInconsistencyError(f"lowering step at row {co.ie} after row {done}")
+    m[done:co.ie + 1] = m[done + gone:co.ie + 1 + gone]     # rows done..ie to their own index
+    level[1:], pre, post = [co.ie, gone + 1], None, None
     if co.ie > shift:
-        rows = np.asarray(level[shift:co.ie + 1])
-        out = apply_bidiagonal(rows, co.shifted(-shift), field)
-        pre, post = rows[:, -1], out[:, -1]
-    if isinstance(level, np.ndarray):
-        return np.concatenate([level[:shift], out, level[co.ie + 1:]]), pre, post
-    level[shift:co.ie + 1] = list(out)
-    return level, pre, post
+        out = apply_bidiagonal(m[shift:co.ie + 1], co.shifted(-shift), field)
+        pre, post = m[shift:co.ie + 1, -1].copy(), out[:, -1]
+        m[shift:co.ie] = out
+    return pre, post
 
 
 def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
@@ -96,11 +102,11 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     refs = {k: level_space(space, degrees, r - k) for k in range(r + 1)}
     in_ref = {k: c0_integrals(refs[k], field) for k in range(r + 1)}
 
-    levels = {0: in_ref[0][:, None]}    # row 0 carries only its integrals
+    levels = {0: [in_ref[0][:, None], 0, 0]}    # row 0 carries only its integrals
     for k in range(1, r + 1):     # one allocation per level, integrals written in place
         m = eye(refs[k].dimension, field, refs[k].dimension + 1)
         m[:, -1] = in_ref[k]
-        levels[k] = list(m) if m.size > ROW_LIST_CELLS else m
+        levels[k] = [m, 0, 0]
     alpha_count = 0
 
     for n, (j, h) in enumerate(rde_schedule(space), 1):
@@ -109,21 +115,21 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
         for k in range(r + 1):      # row 0's window is empty: it sets below, pre, post
             ie = ib + h - (r - k) - 1
             if ib > ie:
-                co = _degenerate(ib, ie, len(levels[k]))
+                co = _degenerate(ib, ie, len(levels[k][0]) - levels[k][2])
             else:
                 co = ratio_coefficients(ib, ie, below, pre, post, field, off)
                 alpha_count += co.nontrivial_count
             if trace is not None and k:
-                trace.steps.append(Step("lower", (j, h), n, k, co, np.array(
-                    levels[k], dtype=dtype_of(field))[:, :-1], in_ref[k]))
-            levels[k], pre, post = _lower(levels[k], co, field)
+                trace.steps.append(Step("lower", (j, h), n, k, co,
+                                        _rows(levels[k])[:, :-1], in_ref[k]))
+            pre, post = _lower(levels[k], co, field)
             off, below = ib - 1, co
 
     orders = {}
     for rho in range(r):
         k = r - rho
         sp = space.derivative_space(rho) if rho else space
-        level = np.asarray(levels[k], dtype=dtype_of(field))
+        level = _rows(levels[k])
         if level.shape != (sp.dimension, refs[k].dimension + 1):
             raise NumericalInconsistencyError(
                 f"order {rho} matrix has shape {level[:, :-1].shape}, expected "

@@ -21,15 +21,26 @@ from typing import Sequence
 from .errors import SpaceValidationError
 
 
+def _numbers(values, what: str, count: int | None = None) -> tuple[float, ...]:
+    """The values as floats; a string or a bool is rejected, not read as its
+    characters or as 0 or 1, and so is a count other than `count`."""
+    items = None if isinstance(values, (str, bytes)) else tuple(values)
+    if (items is None or count not in (None, len(items))
+            or not {str, bytes, bool}.isdisjoint(map(type, items))):
+        need = "numbers" if count is None else f"{count} numbers"
+        raise SpaceValidationError(f"{what} must be a list of {need}, got {values!r}")
+    return tuple(map(float, items))
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as ints; a non-integral value such as 3.7 is rejected, not
-    truncated, while an integral float such as 3.0 is accepted."""
+    """The values as ints; a non-integral value such as 3.7 or a bool is
+    rejected, not truncated, while an integral float such as 3.0 is accepted."""
     values = tuple(values)
     try:
         out = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpaceValidationError(f"{what} must be integers: {exc}") from exc
-    if out != values:
+    if out != values or bool in map(type, values):
         raise SpaceValidationError(f"{what} must be integers, got {list(values)}")
     return out
 
@@ -53,8 +64,8 @@ class MDSpace:
     def create(interval: Sequence[float], breakpoints: Sequence[float],
                degrees: Sequence[int], continuities: Sequence[int],
                internal: bool = False) -> "MDSpace":
-        space = MDSpace(float(interval[0]), float(interval[1]),
-                        tuple(float(x) for x in breakpoints),
+        space = MDSpace(*_numbers(interval, "interval", 2),
+                        _numbers(breakpoints, "breakpoints"),
                         _integers(degrees, "degrees"),
                         _integers(continuities, "continuities"),
                         internal)

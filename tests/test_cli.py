@@ -70,6 +70,10 @@ def test_exit_codes(capsys, tmp_path):
      "continuities": [1]},
     {"interval": [0.0, 2.0], "breakpoints": [1.0], "degrees": [3.7, 3],
      "continuities": [2]},
+    {"interval": "01", "breakpoints": [], "degrees": [2], "continuities": []},
+    {"interval": [0, 1, 7], "breakpoints": [], "degrees": [2], "continuities": []},
+    {"interval": [0, 3], "breakpoints": [1, 2], "degrees": [True, 2, 3],
+     "continuities": [1, 2]},
 ])
 @pytest.mark.parametrize("command", [["validate"], ["matrix"], ["eval", "--grid", "3"]])
 def test_bad_space_file_is_an_input_error(capsys, tmp_path, doc, command):
@@ -172,6 +176,37 @@ def test_experiment_table7(capsys):
     for r in rows[1:]:
         assert int(r[1]) == 40 - int(r[0])
         assert float(r[2]) <= 5e-15 and float(r[3]) <= 5e-15
+
+
+@pytest.mark.parametrize("argv, coeffs", [
+    (["--points", "0.5,20000"], None),
+    (["--points", "0.5,nan"], None),
+    (["--grid", "3"], "1 1 1"),
+])
+def test_eval_bad_input_writes_nothing(capsys, tmp_path, argv, coeffs):
+    # a point outside [a, b] or a wrong coefficient count is found before the
+    # output file is opened
+    out_path = tmp_path / "f.csv"
+    if coeffs is not None:
+        (tmp_path / "c.txt").write_text(coeffs)
+        argv = argv + ["--coeffs", str(tmp_path / "c.txt")]
+    rc, out, err = run(capsys, "eval", "--preset", "test1", *argv, "--out", str(out_path))
+    assert rc == 1 and out == "" and not out_path.exists()
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("methods", [",", " , "])
+def test_experiment_needs_a_method(capsys, methods):
+    rc, out, err = run(capsys, "experiment", "--preset", "test3", "--methods", methods)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "--methods" in err
+
+
+def test_experiment_unknown_preset_writes_nothing(capsys, tmp_path):
+    out_path = tmp_path / "e.csv"
+    rc, out, err = run(capsys, "experiment", "--preset", "nope", "--out", str(out_path))
+    assert rc == 1 and out == "" and not out_path.exists()
+    assert err.startswith("error:") and "cox" in err
 
 
 def test_experiment_unknown_method(capsys):

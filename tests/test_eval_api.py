@@ -13,6 +13,7 @@ import pytest
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       UnsupportedSpaceError, build_matrix_rki, eval_basis,
                       eval_spline, greville, insert_knot_coeffs)
+from mdspline.eval_api import insertion_weights
 from mdspline.join_core import Bundle, OrderData
 from mdspline.presets import preset_space
 
@@ -131,6 +132,17 @@ def test_insert_knot_preserves_abscissae():
     xi_hat = greville(build_matrix_rki(hat, EXACT))
     got = insert_knot_coeffs(sp, hat, xi, 1, EXACT)
     assert list(got) == list(xi_hat)
+
+
+def test_insertion_applies_the_checked_weights():
+    # the weights oracle.boehm_crosscheck compares with the classical ones are
+    # those insert_knot_coeffs applies: a unit coefficient at i gives alpha_i
+    sp, hat = insertion_pair()
+    ib, alphas = insertion_weights(sp, hat, 1, EXACT)
+    assert (ib, len(alphas)) == (3, 2) and all(0 < a < 1 for a in alphas)
+    for i, alpha in enumerate(alphas, ib):
+        unit = np.array([F(int(n == i)) for n in range(1, sp.dimension + 1)], dtype=object)
+        assert insert_knot_coeffs(sp, hat, unit, 1, EXACT)[i - 1] == alpha
 
 
 def test_insert_knot_validates_relationship():

@@ -11,9 +11,11 @@ import pytest
 
 from conftest import random_space
 from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
+from mdspline._scalars import eye
 from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
-from mdspline.join_core import LazyIntegrals, apply_bidiagonal
+from mdspline.errors import NumericalInconsistencyError
+from mdspline.join_core import LazyIntegrals, RKICoefficients, apply_bidiagonal
 from mdspline.presets import PRESETS
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
                                window_start)
@@ -70,11 +72,6 @@ def test_ratio_mode_defaults():
     assert len(bundle.orders) == 3  # r = max degree - 1
     assert set(bundle.orders) == {0, 1, 2}
     assert {s.k for s in trace.steps} == {1, 2, 3}
-    # each step acts on the level its predecessor made
-    made = [apply_bidiagonal(s.matrix, s.coefficients, EXACT) for s in trace.steps]
-    for level, after in zip(made, trace.steps[3:]):
-        assert np.array_equal(level, after.matrix)
-    assert np.array_equal(made[-1], bundle.matrix)
     assert bundle.orders[0].ref.degrees == (4, 4, 4)
     assert bundle.orders[0].ref.continuities == stepped().continuities
     assert bundle.matrix.shape == (7, 10)
@@ -121,11 +118,9 @@ def test_rejects_degree_zero():
 
 
 def test_lazy_integrals_cache():
-    mat = np.array([[1.0, 0.0], [0.5, 0.5]])
-    for level in (mat, list(mat)):      # a 2-D array or a list of rows
-        lz = LazyIntegrals(level, np.array([2.0, 4.0]))
-        assert lz.value(1) == 2.0
-        assert lz.value(2) == 3.0
+    lz = LazyIntegrals(np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([2.0, 4.0]))
+    assert lz.value(1) == 2.0
+    assert lz.value(2) == 3.0
 
 
 def test_lowering_depth():
@@ -207,25 +202,45 @@ def test_steps_combine_only_their_window_rows(monkeypatch):
     assert max(levels) >= 30
 
 
-def test_row_lists_and_arrays_agree(monkeypatch):
-    # holding every level as a list of rows or as one array changes no bit of
-    # any order or of any traced level; by default, the q = 39 space holds its
-    # order-0 level (254 x 254 cells at the start) as a list of rows
-    spaces = [stepped(), random_space(5, 40, 8)] + [PRESETS[name]() for name in ("test3", "test5", "test6")] + \
-        [random_space(s) for s in range(0, 200, 5)]
-    for sp in spaces:
-        built = []
-        for cells in (0, 1 << 62):
-            monkeypatch.setattr(rde_core, "ROW_LIST_CELLS", cells)
-            for field in (FLOAT, EXACT) if sp == stepped() else (FLOAT,):
-                trace = Trace()
-                bundle = rde_build(sp, field, trace=trace)
-                built.append([(od.matrix.shape, od.matrix.dtype, od.matrix.tobytes()
-                               if field is FLOAT else list(od.matrix.ravel()))
-                              for od in bundle.orders.values()] +
-                             [s.matrix.tobytes() for s in trace.steps if field is FLOAT])
-        half = len(built) // 2
-        assert built[:half] == built[half:], sp
+REPLAY_SPACES = [("stepped", stepped(), EXACT), ("stepped", stepped(), FLOAT),
+                 ("random(5, 40, 8)", random_space(5, 40, 8), FLOAT)] + \
+    [(name, PRESETS[name](), FLOAT) for name in ("test3", "test5", "test6")] + \
+    [(f"random({s})", random_space(s), FLOAT) for s in range(0, 200, 5)]
+
+
+@pytest.mark.parametrize("space, field", [(sp, f) for _, sp, f in REPLAY_SPACES],
+                         ids=[f"{name}-{f.__name__}" for name, _, f in REPLAY_SPACES])
+def test_steps_replay_on_the_dense_level(space, field):
+    # each traced lowering step at row k acts on the level that the dense
+    # kernel, run on the whole previous level of row k, makes; the last one
+    # makes the order's matrix. The steps write their levels in place, moving
+    # the rows no step has reached yet, and must keep every bit.
+    trace = Trace()
+    bundle = rde_build(space, field, trace=trace)
+    r = lowering_depth(space)
+    assert len(trace.steps) == r * len(rde_schedule(space))
+    for k in range(1, r + 1):
+        order = bundle.orders[r - k]
+        level = eye(order.ref.dimension, field)
+        for s in (s for s in trace.steps if s.k == k):
+            assert_same(s.matrix, level, field, (k, s.n))
+            level = apply_bidiagonal(s.matrix, s.coefficients, field)
+        assert_same(order.matrix, level, field, k)
+
+
+def assert_same(got, want, field, where):
+    cells = (lambda m: (m.dtype, m.tobytes())) if field is FLOAT else (lambda m: list(m.ravel()))
+    assert (got.shape, cells(got)) == (want.shape, cells(want)), where
+
+
+def test_step_left_of_the_stepped_rows_is_rejected():
+    # a level holds rows 0..done-1 in place; a step whose rows end before
+    # row done - 1 would need them moved back down, which no schedule does
+    level = [np.eye(4, 5), 3, 0]
+    with pytest.raises(NumericalInconsistencyError):
+        rde_core._lower(level, RKICoefficients(2, 1, (), ()), FLOAT)
+    rde_core._lower(level, RKICoefficients(3, 2, (), ()), FLOAT)
+    assert level[1:] == [2, 1]
 
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
@@ -237,7 +252,7 @@ def test_level0_column_is_a_full_integration(monkeypatch, field):
 
     def recording(level, co, field):
         out = lower(level, co, field)
-        made.append(out[0])
+        made.append(rde_core._rows(level))
         return out
 
     monkeypatch.setattr(rde_core, "_lower", recording)

@@ -161,6 +161,28 @@ def test_non_integral_orders_rejected(degrees, continuities):
                            "degrees": list(degrees), "continuities": list(continuities)})
 
 
+@pytest.mark.parametrize("doc, what", [
+    ({"interval": "01", "degrees": [2]}, "interval"),
+    ({"interval": [0, 1, 7], "degrees": [2]}, "interval"),
+    ({"interval": [0, True], "degrees": [2]}, "interval"),
+    ({"interval": [0, 3], "breakpoints": "12", "degrees": [1, 2, 3],
+      "continuities": [1, 2]}, "breakpoints"),
+    ({"interval": [0, 3], "breakpoints": [1, 2], "degrees": [True, 2, 3],
+      "continuities": [1, 2]}, "degrees"),
+    ({"interval": [0, 3], "breakpoints": [1, 2], "degrees": [1, 2, 3],
+      "continuities": [1, True]}, "continuities"),
+])
+def test_schema_types_rejected(doc, what):
+    # the schema asks for an interval of exactly 2 numbers and integer
+    # orders: a string is not read as its characters, a third number is not
+    # dropped and a bool is not read as 0 or 1
+    with pytest.raises(SpaceValidationError, match=what):
+        MDSpace.from_dict(doc)
+    with pytest.raises(SpaceValidationError, match=what):
+        MDSpace.create(doc["interval"], doc.get("breakpoints", ()), doc["degrees"],
+                       doc.get("continuities", ()))
+
+
 def test_integral_floats_accepted():
     sp = MDSpace.create((0.0, 2.0), (1.0,), (3.0, 3), (2.0,))
     assert sp.degrees == (3, 3) and sp.continuities == (2,)
