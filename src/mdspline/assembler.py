@@ -3,12 +3,12 @@
 A route only chooses a plan: a partition of the maximal equal-degree sections
 into contiguous groups. "rki" and "derivative" keep every section on its own,
 "rde" puts all of them into one group, and "mixed" takes its groups from a
-per-section plan, `auto_plan` by default. A one-section group is a section
-bundle; a longer one is embedded in the uniform cover of its maximum degree by
-one degree-lowering sweep. The blocks are then joined pairwise at the seams
-between groups, highest continuity first, by `cr_join`, or by `legacy_join`
-on the derivative route. When every group is a single section, the reference
-of the result is checked against the continuity-zero shadow of the space.
+per-section plan, by default the cheapest by `auto_plan`'s dynamic program. A
+one-section group is a section bundle; a longer one is embedded in the uniform
+cover of its maximum degree by one degree-lowering sweep. The blocks are then
+joined pairwise at the seams between groups, highest continuity first, by
+`cr_join`, or by `legacy_join` on the derivative route. With one group per
+section, the reference is checked against the space's continuity-zero shadow.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ def rde_cost(degrees) -> int:
     that lowers an interval to degree h has windows of h, h - 1, ..., 1 rows,
     so lowering degree d to the maximum m costs
     join_cost(m - 1) - join_cost(d - 1)."""
-    m = max(degrees)
-    return sum(join_cost(m - 1) - join_cost(d - 1) for d in degrees)
+    return len(degrees) * join_cost(max(degrees) - 1) - sum(join_cost(d - 1) for d in degrees)
 
 
 def join_cost(r: int) -> int:
@@ -42,37 +41,36 @@ def join_cost(r: int) -> int:
 
 
 def auto_plan(space: MDSpace) -> list[str]:
-    """Per-section strategy labels chosen by greedy cost descent: merging a
-    maximal block of adjacent sections into one degree-lowering sweep must
-    beat building its pieces and joining them."""
+    """Per-section labels of the cheapest contiguous section grouping: a single
+    section costs 0, a sweep of more costs `rde_cost`, and each group adds the
+    `join_cost` of the seam before it. Labels cannot keep two sweeps apart, so
+    a sweep follows only a single section or the start. A sweep stops growing
+    left once its cost reaches the seams it spans: `rde_cost` is superadditive,
+    so splitting there is no dearer. The seams beside a degree-0 section cost
+    0, so a sweep over one, which `rde_build` rejects, never wins either."""
     dec = space.section_decomposition()
-    n = len(dec.sections)
-    if n == 1:
-        return [RKI]
-    bounds = dec.boundaries
-
-    def group_cost(lo: int, hi: int) -> int:
-        return rde_cost(space.degrees[bounds[lo]:bounds[hi + 1]])
-
-    def gain(p: int) -> int:
-        """Cost change of merging groups p and p + 1; 0 if they cannot merge."""
-        (_, la, ha, ca), (_, lb, hb, cb) = kind[p], kind[p + 1]
-        if min(space.degrees[bounds[la]:bounds[hb + 1]]) < 1:
-            return 0
-        return group_cost(la, hb) - (ca + cb + join_cost(dec.joins[ha].continuity))
-
-    # strategy, lo section, hi section, cost; a merge changes the gains of the
-    # pairs next to it only, and the first best merge wins a tie
-    kind = [[RKI, i, i, group_cost(i, i)] for i in range(n)]
-    gains = [gain(p) for p in range(n - 1)]
-    while gains and min(gains) < 0:
-        p = gains.index(min(gains))
-        la, hb = kind[p][1], kind[p + 1][2]
-        kind[p:p + 2] = [[RDE, la, hb, group_cost(la, hb)]]
-        del gains[p]
-        for q in range(max(p - 1, 0), min(p + 1, len(gains))):
-            gains[q] = gain(q)
-    return [s for s, lo, hi, _ in kind for _ in range(lo, hi + 1)]
+    n, bounds, degrees = len(dec.sections), dec.boundaries, space.degrees
+    seam = [0] + [join_cost(jn.continuity) for jn in dec.joins]
+    # over sections 0..i-1: the cheapest cost, the first section of its last
+    # group, and the cheapest cost that ends in a single section
+    best, cut, single = [0] * (n + 1), list(range(-1, n)), [0] * (n + 1)
+    for i in range(1, n + 1):
+        single[i] = best[i] = best[i - 1] + seam[i - 1]
+        spanned = seam[i - 1]
+        for lo in range(i - 2, -1, -1):
+            spanned += seam[lo]
+            cost = rde_cost(degrees[bounds[lo]:bounds[i]])
+            if cost >= spanned:
+                break
+            if single[lo] + seam[lo] + cost < best[i]:
+                best[i], cut[i] = single[lo] + seam[lo] + cost, lo
+    # walk back through the cuts; the group before a sweep is a single section
+    plan, i, free = [RKI] * n, n, True
+    while i:
+        lo = cut[i] if free else i - 1
+        plan[lo:i] = [RDE if i - lo > 1 else RKI] * (i - lo)
+        free, i = i - lo == 1, lo
+    return plan
 
 
 def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
-from .errors import NumericalInconsistencyError
+from .errors import NumericalInconsistencyError, UnsupportedSpaceError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
                         apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
@@ -95,7 +95,8 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     Each level carries its basis integrals as one extra last column, so that
     every step updates them with its rows."""
     if min(space.degrees) < 1:
-        raise ValueError("degree lowering needs every interval degree to be at least 1")
+        raise UnsupportedSpaceError(
+            "degree lowering needs every interval degree to be at least 1")
     r = lowering_depth(space, min_orders)
 
     degrees = [max(space.degrees)] * (space.q + 1)

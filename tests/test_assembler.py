@@ -14,7 +14,7 @@ from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build
                       build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
                       build_matrix_rki, eval_basis)
 from conftest import random_space
-from mdspline.assembler import auto_plan, join_cost, rde_cost
+from mdspline.assembler import _groups, auto_plan, join_cost, rde_cost
 from mdspline.presets import PRESETS, table7
 
 
@@ -102,6 +102,55 @@ def test_auto_plan_prefers_cheaper_route():
     assert auto_plan(MDSpace.create((0.0, 1.0), (), (3,), ())) == ["rki"]
 
 
+def modelled_cost(space, dec, plan):
+    """Coefficient count the cost model gives a label plan: `rde_cost` per
+    sweep plus `join_cost` per seam between groups; infinite when a sweep
+    spans a degree-0 interval."""
+    b = dec.boundaries
+    groups = _groups(space, len(dec.sections), "mixed", plan)
+    if any(lo < hi and min(space.degrees[b[lo]:b[hi + 1]]) < 1 for lo, hi in groups):
+        return float("inf")
+    sweeps = sum(rde_cost(space.degrees[b[lo]:b[hi + 1]]) for lo, hi in groups if lo < hi)
+    return sweeps + sum(join_cost(dec.joins[hi].continuity) for _, hi in groups[:-1])
+
+
+def without_degree_one(space):
+    """`space` with its degree-1 intervals at degree 0, continuities clamped."""
+    degrees = tuple(d if d > 1 else 0 for d in space.degrees)
+    conts = tuple(min(k, a, b) for k, a, b in zip(space.continuities, degrees, degrees[1:]))
+    return MDSpace.create((space.a, space.b), space.breakpoints, degrees, conts)
+
+
+def test_auto_plan_is_the_cheapest_label_plan():
+    # brute force over all 2^n label plans, also with degree-0 sections
+    checked = 0
+    for seed in range(1000):
+        for sp in (random_space(seed, 10, 8), without_degree_one(random_space(seed, 10, 8))):
+            dec = sp.section_decomposition()
+            n = len(dec.sections)
+            if not 2 <= n <= 8:
+                continue
+            best = min(modelled_cost(sp, dec, [("rki", "rde")[p >> i & 1] for i in range(n)])
+                       for p in range(2 ** n))
+            assert modelled_cost(sp, dec, auto_plan(sp)) == best, (seed, sp)
+            checked += 1
+    assert checked > 1400
+
+
+def test_mixed_never_needs_more_coefficients():
+    for seed in range(700):
+        sp = random_space(seed, 10, 8)
+        counts = {route: build_matrix(sp, route).alpha_count
+                  for route in ("rki", "rde", "mixed")}
+        assert counts["mixed"] <= min(counts["rki"], counts["rde"]), (seed, counts)
+
+
+def test_mixed_counts_on_presets():
+    counts = {name: build_matrix_mixed(PRESETS[name]()).alpha_count
+              for name in ("test5", "test6")}
+    assert counts == {"test5": 2900, "test6": 800}
+
+
 def test_costs():
     assert join_cost(3) == 10
     assert rde_cost(table7(15).degrees) < join_cost(15)
@@ -141,9 +190,11 @@ def test_rde_rejects_degree_zero_sections():
     sp = MDSpace.create((0.0, 2.0), (1.0,), (0, 2), (0,))
     with pytest.raises(UnsupportedSpaceError):
         build_matrix_rde(sp, FLOAT)
-    # mixed falls back to joins instead
+    # mixed falls back to joins instead, unless its plan asks for the sweep
     bundle = build_matrix_mixed(sp, FLOAT)
     assert bundle.matrix.shape == (sp.dimension, sp.dimension)
+    with pytest.raises(UnsupportedSpaceError):
+        build_matrix_mixed(sp, FLOAT, plan=["rde", "rde"])
 
 
 def test_dispatcher():

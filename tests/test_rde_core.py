@@ -14,7 +14,7 @@ from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
 from mdspline._scalars import eye
 from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
-from mdspline.errors import NumericalInconsistencyError
+from mdspline.errors import NumericalInconsistencyError, UnsupportedSpaceError
 from mdspline.join_core import LazyIntegrals, RKICoefficients, apply_bidiagonal
 from mdspline.presets import PRESETS
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
@@ -113,7 +113,7 @@ def test_order1_integrals_positive():
 
 def test_rejects_degree_zero():
     sp = MDSpace.create((0.0, 2.0), (1.0,), (0, 2), (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedSpaceError):
         rde_build(sp, FLOAT)
 
 
