@@ -23,7 +23,7 @@ OVERLAP_TOL = 1e-14
 PAIR_SUM_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RKICoefficients:
     """Bidiagonal step coefficients on window ib..ie (1-based, empty if ib > ie).
 
@@ -101,8 +101,10 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np
     """
     lo, hi = max(min(co.ib, co.ie + 2) - 1, 1), co.ie
     out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype_of(field))
-    out[:lo - 1] = matrix[:lo - 1]
-    out[hi:] = matrix[hi + 1:]
+    if lo > 1:
+        out[:lo - 1] = matrix[:lo - 1]
+    if hi < len(out):
+        out[hi:] = matrix[hi + 1:]
     if hi >= lo:
         n = hi - lo + 1
         a = np.array(((1,) + co.alphas)[-n:], dtype=dtype_of(field))

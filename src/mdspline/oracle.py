@@ -28,25 +28,15 @@ def exact_bundle(space: MDSpace, builder=build_matrix_rki, **kwargs) -> Bundle:
     return builder(space, EXACT, **kwargs)
 
 
-def to_exact(matrix: np.ndarray) -> np.ndarray:
-    out = np.empty(matrix.shape, dtype=object)
-    flat_in, flat_out = matrix.ravel(), out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = v if isinstance(v, Fraction) else Fraction(v)
-    return out
-
-
 def matrix_error(computed: np.ndarray, exact: np.ndarray) -> float:
     """Largest column sum of absolute entry differences, exactly accumulated
-    and rounded once."""
+    and rounded once. Cells zero in both matrices add nothing and are skipped."""
     if computed.shape != exact.shape:
         raise ValueError(f"shape mismatch: {computed.shape} vs {exact.shape}")
-    ce = to_exact(computed)
-    worst = Fraction(0)
-    for j in range(ce.shape[1]):
-        col = sum(abs(ce[i, j] - exact[i, j]) for i in range(ce.shape[0]))
-        worst = max(worst, col)
-    return float(worst)
+    cols = {}
+    for i, j in zip(*np.nonzero((computed != 0) | (exact != 0))):
+        cols[j] = cols.get(j, 0) + abs(Fraction(computed[i, j]) - exact[i, j])
+    return float(max(cols.values(), default=0))
 
 
 def value_error(computed: float, exact: Fraction) -> tuple[float, float]:
@@ -91,7 +81,9 @@ def abscissa_crosscheck(trace: Trace) -> int:
         if k == 0:
             continue
         below = steps[(x, n - 1, k - 1)]
-        pre = below.matrix.dot(below.integrals0)
+        rows, cols = np.nonzero(below.matrix)      # a dense dot multiplies zeros
+        pre = np.zeros(len(below.matrix), dtype=object)
+        np.add.at(pre, rows, below.matrix[rows, cols] * below.integrals0[cols])
         post = apply_bidiagonal(pre[:, None], below.coefficients, EXACT)[:, 0]
         xi_hat, xi = _prefix_abscissae(pre), _prefix_abscissae(post)
         co = step.coefficients

@@ -10,6 +10,9 @@ level that carries only its integrals: r is at least the maximum degree minus
 one, so there every step window is empty, its step only merges or drops rows,
 and it serves row 1 as the step below. Each level is one array, written in
 place: steps run left to right, and a row no step has reached only moves up.
+Rows start as the identity and a step only merges adjacent rows or drops one,
+so row i of a level that has lost `gone` rows lies in columns i .. i + gone:
+a step combines only those columns of its rows, and the integral column.
 """
 
 from __future__ import annotations
@@ -81,10 +84,12 @@ def _lower(level, co: RKICoefficients, field):
         raise NumericalInconsistencyError(f"lowering step at row {co.ie} after row {done}")
     m[done:co.ie + 1] = m[done + gone:co.ie + 1 + gone]     # rows done..ie to their own index
     level[1:], pre, post = [co.ie, gone + 1], None, None
-    if co.ie > shift:
-        out = apply_bidiagonal(m[shift:co.ie + 1], co.shifted(-shift), field)
-        pre, post = m[shift:co.ie + 1, -1].copy(), out[:, -1]
-        m[shift:co.ie] = out
+    if co.ie > shift:       # level 0 has no columns but its integrals
+        end = min(co.ie + gone + 1, m.shape[1] - 1)
+        rows = np.concatenate([m[shift:co.ie + 1, shift:end], m[shift:co.ie + 1, -1:]], 1)
+        out = apply_bidiagonal(rows, co.shifted(-shift), field)
+        pre, post = rows[:, -1], out[:, -1]
+        m[shift:co.ie, shift:end], m[shift:co.ie, -1] = out[:, :-1], post
     return pre, post
 
 

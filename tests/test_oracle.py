@@ -5,11 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import EXACT, FLOAT, MDSpace, build_matrix_rki
+from mdspline import EXACT, FLOAT, MDSpace, build_matrix_rde, build_matrix_rki
 from mdspline.oracle import (boehm_crosscheck, derivative_formula_crosscheck,
                              eval_exact, exact_bundle, fraction_matrix_strings,
-                             greville_crosscheck, matrix_error, to_exact,
-                             value_error)
+                             greville_crosscheck, matrix_error, value_error)
 
 
 def worked_space():
@@ -36,18 +35,38 @@ def test_matrix_error_basics():
         matrix_error(np.eye(2), eye)
 
 
+def dense_matrix_error(computed, exact):
+    return float(max(sum(abs(F(c) - e) for c, e in zip(ccol, ecol))
+                     for ccol, ecol in zip(computed.T, exact.T)))
+
+
+def test_matrix_error_is_the_dense_formula():
+    # skipping the cells zero in both matrices changes no error, whether the
+    # perturbation hits a nonzero cell, a zero cell or a cell made zero
+    rng = np.random.default_rng(7)
+    for builder, sp in [(build_matrix_rki, worked_space()),
+                        (build_matrix_rde, worked_space()),
+                        (build_matrix_rki, MDSpace.create((0.0, 3.0), (1.0, 2.0),
+                                                          (4, 2, 3), (2, 1)))]:
+        exact = builder(sp, EXACT).matrix
+        computed = builder(sp, FLOAT).matrix
+        assert matrix_error(computed, exact) == dense_matrix_error(computed, exact)
+        for _ in range(20):
+            bad = computed.copy()
+            cells = rng.integers(0, bad.shape, size=(3, 2))
+            bad[cells[:, 0], cells[:, 1]] += rng.normal(size=3) * 2.0 ** -rng.integers(1, 52)
+            bad[tuple(rng.integers(0, bad.shape))] = 0.0
+            assert matrix_error(bad, exact) == dense_matrix_error(bad, exact) > 0
+    with pytest.raises(ValueError):
+        matrix_error(np.array([[1.0, np.nan]]), np.array([[F(1), F(0)]], dtype=object))
+
+
 def test_value_error():
     assert value_error(0.5, F(1, 2)) == (0.0, 0.0)
     ab, rel = value_error(0.5 + 2 ** -53, F(1, 2))
     assert ab == 2 ** -53 and rel == 2 ** -52
     ab, rel = value_error(1e-20, F(0))
     assert ab == rel == 1e-20
-
-
-def test_to_exact_is_lossless():
-    m = np.array([[0.1, 0.5], [1.0 / 3.0, 2.0]])
-    e = to_exact(m)
-    assert all(float(v) == f for v, f in zip(e.ravel(), m.ravel()))
 
 
 def test_eval_exact_partition_of_unity():

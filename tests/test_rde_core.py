@@ -16,7 +16,7 @@ from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
 from mdspline.errors import NumericalInconsistencyError, UnsupportedSpaceError
 from mdspline.join_core import LazyIntegrals, RKICoefficients, apply_bidiagonal
-from mdspline.presets import PRESETS
+from mdspline.presets import PRESETS, table7
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
                                window_start)
 
@@ -204,6 +204,9 @@ def test_steps_combine_only_their_window_rows(monkeypatch):
 
 REPLAY_SPACES = [("stepped", stepped(), EXACT), ("stepped", stepped(), FLOAT),
                  ("random(5, 40, 8)", random_space(5, 40, 8), FLOAT)] + \
+    [(name, PRESETS[name](), EXACT) for name in ("cox", "test1")] + \
+    [("table7(5)", table7(5), EXACT)] + \
+    [(f"random({s}, 3, 5)", random_space(s, 3, 5), EXACT) for s in (5, 7)] + \
     [(name, PRESETS[name](), FLOAT) for name in ("test3", "test5", "test6")] + \
     [(f"random({s})", random_space(s), FLOAT) for s in range(0, 200, 5)]
 
@@ -241,6 +244,28 @@ def test_step_left_of_the_stepped_rows_is_rejected():
         rde_core._lower(level, RKICoefficients(2, 1, (), ()), FLOAT)
     rde_core._lower(level, RKICoefficients(3, 2, (), ()), FLOAT)
     assert level[1:] == [2, 1]
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_level_rows_stay_in_their_columns(monkeypatch, field):
+    # after every step, row i of a level with `gone` rows removed is nonzero
+    # only in columns i .. i + gone, the columns each step combines
+    lower, checked = rde_core._lower, []
+
+    def checking(level, co, field):
+        out = lower(level, co, field)
+        rows, cols = np.nonzero(rde_core._rows(level)[:, :-1])
+        assert (cols >= rows).all() and (cols <= rows + level[2]).all(), co
+        checked.append(len(rows))
+        return out
+
+    monkeypatch.setattr(rde_core, "_lower", checking)
+    spaces = lowering_spaces() if field is FLOAT else \
+        [PRESETS[name]() for name in ("cox", "test1", "test3", "table7")] + \
+        [random_space(s, 3, 5) for s in (5, 7)]
+    for sp in spaces:
+        rde_build(sp, field)
+    assert len(checked) > 0 and sum(checked) > 0
 
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
