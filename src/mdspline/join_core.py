@@ -98,6 +98,9 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np
     Only rows lo..ie are combined, where lo is the row before the window
     (clamped to 1): the rows before lo are copied and the rows after ie
     shifted up by one, which drops row ie + 1 when the window is a drop.
+    In the exact field a cell forms only the products of its nonzero inputs,
+    or keeps its zero: the rows are narrow bands, so most cells are zero. Floats
+    keep the numpy broadcast, where a test per cell costs more than a multiply.
     """
     lo, hi = max(min(co.ib, co.ie + 2) - 1, 1), co.ie
     out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype_of(field))
@@ -109,7 +112,12 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np
         n = hi - lo + 1
         a = np.array(((1,) + co.alphas)[-n:], dtype=dtype_of(field))
         b = np.array((co.betas + (1,))[-n:], dtype=dtype_of(field))
-        out[lo - 1:hi] = a[:, None] * matrix[lo - 1:hi] + b[:, None] * matrix[lo:hi + 1]
+        if is_exact(field):
+            rows = matrix[lo - 1:hi + 1].tolist()
+            out[lo - 1:hi] = [[x * u + y * v if u and v else x * u if u else y * v if v else u
+                               for u, v in zip(p, q)] for x, y, p, q in zip(a, b, rows, rows[1:])]
+        else:
+            out[lo - 1:hi] = a[:, None] * matrix[lo - 1:hi] + b[:, None] * matrix[lo:hi + 1]
     return out
 
 

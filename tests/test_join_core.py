@@ -74,11 +74,23 @@ def test_make_coefficients_validates():
         make_coefficients(2, 2, [0.5], [0.5 + 1e-9], FLOAT)
 
 
-@settings(max_examples=100, deadline=None)
+def dense_step(co, m, field):
+    """The (m - 1) x m bidiagonal matrix of a step, entry by entry."""
+    dense = zeros((m - 1, m), field)
+    for i in range(1, m):
+        dense[i - 1, i - 1] = co.alpha(i)
+        dense[i - 1, i] = co.beta(i + 1)
+    return dense
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_apply_matches_dense_product(data):
     # float and Fraction rows; windows from ib = 1 to merges (ib = ie + 1) and
-    # drops (ib >= ie + 2)
+    # drops (ib >= ie + 2). Sizes and window ends are drawn down from their
+    # largest, so most examples combine rows. About half the cells are zero,
+    # and some whole rows, as in the banded levels of a build, where exact
+    # cells skip zero products; the other cells are nonzero
     field = data.draw(st.sampled_from([FLOAT, EXACT]))
 
     def value(lo, hi):      # exact values lie on a grid of twentieths
@@ -86,23 +98,44 @@ def test_apply_matches_dense_product(data):
             return F(data.draw(st.integers(round(20 * lo), round(20 * hi))), 20)
         return data.draw(st.floats(lo, hi))
 
-    m = data.draw(st.integers(2, 7))
-    cols = data.draw(st.integers(1, 5))
-    ie = data.draw(st.integers(0, m - 1))
+    m = 7 - data.draw(st.integers(0, 5))
+    cols = 5 - data.draw(st.integers(0, 4))
+    ie = m - 1 - data.draw(st.integers(0, m - 1))
     ib = data.draw(st.integers(1, ie + 3))
     alphas = tuple(value(0.05, 1.0) for _ in range(ib, ie + 1))
     co = RKICoefficients(ib, ie, alphas, tuple(1 - a for a in alphas))
-    dense = zeros((m - 1, m), field)
-    for i in range(1, m):
-        dense[i - 1, i - 1] = co.alpha(i)
-        dense[i - 1, i] = co.beta(i + 1)
-    mat = np.array([[value(-2, 2) for _ in range(cols)] for _ in range(m)],
-                   dtype=dtype_of(field))
+    zero_rows = data.draw(st.sets(st.integers(0, m - 1)))
+    mat = np.array([[field(0) if i in zero_rows or data.draw(st.booleans())
+                     else value(0.05, 2) * data.draw(st.sampled_from((1, -1)))
+                     for _ in range(cols)] for i in range(m)], dtype=dtype_of(field))
     got = apply_bidiagonal(mat, co, field)
     if field is EXACT:
-        assert got.dtype == object and np.array_equal(got, dense.dot(mat))
+        assert got.dtype == object and np.array_equal(got, dense_step(co, m, field).dot(mat))
+        assert all(type(x) is F for x in got.ravel())
     else:
-        assert np.allclose(got, dense @ mat, atol=1e-14, rtol=0)
+        assert np.allclose(got, dense_step(co, m, field) @ mat, atol=1e-14, rtol=0)
+
+
+TEXTBOOK_SPACES = [("cox", PRESETS["cox"]()), ("test1", PRESETS["test1"]()),
+                   ("table7(5)", table7(5))] + \
+    [(f"random({s}, 3, 5)", random_space(s, 3, 5)) for s in (3, 9)]
+
+
+@pytest.mark.parametrize("route", ["rki", "rde", "mixed"])
+@pytest.mark.parametrize("space", [sp for _, sp in TEXTBOOK_SPACES],
+                         ids=[name for name, _ in TEXTBOOK_SPACES])
+def test_traced_steps_are_the_textbook_product(space, route):
+    # every step of an exact build makes the level that its dense bidiagonal
+    # matrix times its level makes, and the last step, unless it is a C0
+    # gluing (whose level keeps both seam columns), makes the order-0 matrix
+    trace = Trace()
+    bundle = build_matrix(space, route, EXACT, trace)
+    for s in trace.steps:
+        level = apply_bidiagonal(s.matrix, s.coefficients, EXACT)
+        want = dense_step(s.coefficients, s.matrix.shape[0], EXACT).dot(s.matrix)
+        assert level.tolist() == want.tolist(), (s.kind, s.at, s.n, s.k)
+    if trace.steps and trace.steps[-1].k:
+        assert level.tolist() == bundle.matrix.tolist()
 
 
 def test_c0_join_integrals():
