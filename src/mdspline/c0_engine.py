@@ -57,6 +57,7 @@ class SlotLayout:
     runs: tuple[Run, ...]
     run_of_interval: tuple[int | None, ...]   # per interval; None on gaps
     zero_slots: frozenset[int]
+    dimension: int
 
 
 def build_layout(space: MDSpace) -> SlotLayout:
@@ -125,7 +126,7 @@ def build_layout(space: MDSpace) -> SlotLayout:
                 for r in runs]
 
     zero_slots = frozenset(i + 1 for i, e in enumerate(entries) if e[0] == 'z')
-    layout = SlotLayout(space, tuple(runs), tuple(run_of_interval), zero_slots)
+    layout = SlotLayout(space, tuple(runs), tuple(run_of_interval), zero_slots, len(entries))
 
     s, t = space.extended_partitions()
     expected_zero = frozenset(i + 1 for i in range(len(s)) if s[i] >= t[i])
@@ -151,21 +152,22 @@ def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
 
 
 def _basis_window(knots, degree, span, x, field):
-    """Values of the degree+1 B-splines that are nonzero on knot span `span`."""
-    vals = [field(1)]
-    left = [field(0)] * (degree + 1)
-    right = [field(0)] * (degree + 1)
+    """Values of the degree+1 B-splines that are nonzero on knot span `span`;
+    knots are lifted into the field as read, and each level overwrites the last."""
+    zero = field(0)
+    vals = [field(1)] + [zero] * degree
+    left = [zero] * (degree + 1)
+    right = [zero] * (degree + 1)
     for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = field(0)
-        new = [field(0)] * (j + 1)
+        left[j] = x - field(knots[span + 1 - j])
+        right[j] = field(knots[span + j]) - x
+        saved = zero
         for r in range(j):
-            temp = vals[r] / (right[r + 1] + left[j - r])
-            new[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        new[j] = saved
-        vals = new
+            rr, ll = right[r + 1], left[j - r]
+            temp = vals[r] / (rr + ll)
+            vals[r] = saved + rr * temp
+            saved = ll * temp
+        vals[j] = saved
     return vals
 
 
@@ -179,8 +181,8 @@ def _ders_window(knots, degree, span, x, order, field):
     left = [field(0)] * (degree + 1)
     right = [field(0)] * (degree + 1)
     for j in range(1, degree + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+        left[j] = x - field(knots[span + 1 - j])
+        right[j] = field(knots[span + j]) - x
         saved = field(0)
         for r in range(j):
             ndu[j][r] = right[r + 1] + left[j - r]
@@ -219,17 +221,8 @@ def _ders_window(knots, degree, span, x, order, field):
 
 
 def _find_span(knots, degree, x, side_left=False):
-    if side_left:
-        span = bisect_left(knots, x) - 1
-    else:
-        span = bisect_right(knots, x) - 1
+    span = (bisect_left if side_left else bisect_right)(knots, x) - 1
     return min(max(span, degree), len(knots) - degree - 2)
-
-
-def _lift_knots(run: Run, field):
-    if is_exact(field):
-        return [Fraction(k) for k in run.knots]
-    return list(run.knots)
 
 
 def eval_c0_basis(space: MDSpace, x, field=FLOAT, layout: SlotLayout | None = None
@@ -239,13 +232,12 @@ def eval_c0_basis(space: MDSpace, x, field=FLOAT, layout: SlotLayout | None = No
     j = space.find_interval(float(x))
     rid = layout.run_of_interval[j]
     if rid is None:
-        return BasisValues(1, np.array([], dtype=dtype_of(field)), space.dimension)
+        return BasisValues(1, np.array([], dtype=dtype_of(field)), layout.dimension)
     run = layout.runs[rid]
-    knots = _lift_knots(run, field)
-    span = _find_span(knots, run.degree, x)
-    vals = _basis_window(knots, run.degree, span, x, field)
+    span = _find_span(run.knots, run.degree, x)
+    vals = _basis_window(run.knots, run.degree, span, x, field)
     first = run.first_slot + span - run.degree
-    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), space.dimension)
+    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), layout.dimension)
 
 
 def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
@@ -258,15 +250,14 @@ def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
     if side == "left" or xf == space.b:
         if not space.a < xf <= space.b:
             raise ValueError(f"no left limit at {x} in [{space.a}, {space.b}]")
-        j = space.q if xf == space.b else bisect_left(space.xs, xf) - 1
+        j = space.q if xf == space.b else bisect_left(space.breakpoints, xf)
     else:
         j = space.find_interval(xf)
     rid = layout.run_of_interval[j]
     if rid is None:
-        return BasisValues(1, np.array([], dtype=dtype_of(field)), space.dimension)
+        return BasisValues(1, np.array([], dtype=dtype_of(field)), layout.dimension)
     run = layout.runs[rid]
-    knots = _lift_knots(run, field)
-    span = _find_span(knots, run.degree, x, side_left=(side == "left"))
-    vals = _ders_window(knots, run.degree, span, x, order, field)
+    span = _find_span(run.knots, run.degree, x, side_left=(side == "left"))
+    vals = _ders_window(run.knots, run.degree, span, x, order, field)
     first = run.first_slot + span - run.degree
-    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), space.dimension)
+    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), layout.dimension)

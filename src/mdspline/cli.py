@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import oracle
@@ -135,6 +136,9 @@ def cmd_eval(args) -> int:
             coeffs = [float(tok) for tok in fh.read().replace(",", " ").split()]
         if len(coeffs) != space.dimension:
             raise ValueError(f"expected {space.dimension} coefficients, got {len(coeffs)}")
+        bad = [c for c in coeffs if not math.isfinite(c)]
+        if bad:
+            raise ValueError(f"coefficients {bad} are not finite")
     bundle = build_matrix(space, args.method)
     rows = [["greville"] + [_fmt(v) for v in greville(bundle)]] if args.greville else []
     rows.append(["x"] + [f"N_{i}" for i in range(1, space.dimension + 1)]
@@ -268,15 +272,15 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpaceValidationError, FileNotFoundError, KeyError, ValueError,
+    except BrokenPipeError:        # an OSError, so caught before the clause below
+        return 0
+    except (SpaceValidationError, OSError, KeyError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MDSplineError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

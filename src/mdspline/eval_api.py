@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from .join_core import Bundle
 from .spaces import MDSpace
 
 
-def _band(bundle: Bundle) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row first/last nonzero column (0-based) of the order-0 matrix."""
+def _band(bundle: Bundle) -> tuple[list[int], list[int], int]:
+    """First and last nonzero column (0-based) of each row of the order-0
+    matrix, each nondecreasing from row to row, and the row count K."""
     cached = getattr(bundle, "_band", None)
     if cached is None:
         nz = bundle.matrix != 0
@@ -22,7 +24,9 @@ def _band(bundle: Bundle) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalInconsistencyError("the matrix has an all-zero row")
         lo = nz.argmax(axis=1)
         hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
-        cached = (lo, hi)
+        if (np.diff(lo) < 0).any() or (np.diff(hi) < 0).any():
+            raise NumericalInconsistencyError("row bands are not ordered")
+        cached = (lo.tolist(), hi.tolist(), len(lo))
         bundle._band = cached
     return cached
 
@@ -36,29 +40,28 @@ def _ref_layout(bundle: Bundle):
 
 
 def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
-    """Window of basis values of the represented space at x."""
+    """Window of basis values of the represented space at x; the rows meeting
+    reference columns c0..c1 are one run, found by bisecting the ordered band."""
     field = field or bundle.field
+    lo, hi, size = _band(bundle)
     ref_vals = eval_c0_basis(bundle.orders[0].ref, x, field, _ref_layout(bundle))
     if len(ref_vals.values) == 0:
-        return BasisValues(1, ref_vals.values, bundle.space.dimension)
+        return BasisValues(1, ref_vals.values, size)
     c0 = ref_vals.first - 1
     c1 = ref_vals.last - 1
-    lo, hi = _band(bundle)
-    rows = np.flatnonzero((lo <= c1) & (hi >= c0))
-    if len(rows) == 0 or rows[-1] - rows[0] + 1 != len(rows):
-        raise NumericalInconsistencyError(
-            f"rows {rows.tolist()} meeting columns {c0}..{c1} are not one band")
-    block = bundle.matrix[rows[0]:rows[-1] + 1, c0:c1 + 1]
-    vals = block.dot(ref_vals.values)
-    return BasisValues(int(rows[0]) + 1, vals, bundle.space.dimension)
+    r0, r1 = bisect_left(hi, c0), bisect_right(lo, c1)
+    if r0 >= r1:
+        raise NumericalInconsistencyError(f"no row meets columns {c0}..{c1}")
+    vals = bundle.matrix[r0:r1, c0:c1 + 1].dot(ref_vals.values)
+    return BasisValues(r0 + 1, vals, size)
 
 
 def eval_spline(bundle: Bundle, coefficients, x, field=None):
     field = field or bundle.field
     coefficients = np.asarray(coefficients, dtype=dtype_of(field))
-    if len(coefficients) != bundle.space.dimension:
-        raise ValueError(f"expected {bundle.space.dimension} coefficients")
     w = eval_basis(bundle, x, field)
+    if len(coefficients) != w.size:
+        raise ValueError(f"expected {w.size} coefficients")
     return coefficients[w.first - 1:w.last].dot(w.values)
 
 

@@ -130,7 +130,7 @@ class MDSpace:
             raise ValueError(f"point {x} outside [{self.a}, {self.b}]")
         if x == self.b:
             return self.q
-        return bisect_right(self.xs, x) - 1
+        return bisect_right(self.breakpoints, x)
 
     # -- derived spaces ------------------------------------------------------
 

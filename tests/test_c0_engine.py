@@ -5,6 +5,9 @@ derivatives against central differences of the values; both keep the checks
 independent of the recurrences under test.
 """
 
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import space_strategy
 from mdspline import EXACT, FLOAT, MDSpace, SpaceValidationError
 from mdspline.c0_engine import (build_layout, c0_integrals, eval_c0_basis,
                                 eval_c0_derivatives)
@@ -179,3 +183,45 @@ def test_left_limits_use_the_interval_ending_at_x():
     for x in (sp.a, 4.5):
         with pytest.raises(ValueError):
             eval_c0_derivatives(sp, x, "left", 1, FLOAT, lay)
+
+
+class _Reads(tuple):
+    """A tuple that records every index read from it."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+@st.composite
+def space_and_point(draw):
+    sp = draw(space_strategy(max_breakpoints=6, max_degree=4)).associated_c0()
+    knot = draw(st.sampled_from(sp.xs))
+    x = draw(st.sampled_from((knot, math.nextafter(knot, -math.inf),
+                              math.nextafter(knot, math.inf)))
+             | st.floats(sp.a, sp.b))
+    return sp, min(max(x, sp.a), sp.b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_and_point())
+def test_interval_lookup_matches_the_knot_formulas(case):
+    # find_interval and the left-side interval of eval_c0_derivatives bisect
+    # the breakpoints alone; the formulas on all knots xs = (a, x_1, .., b)
+    # are the reference, at a, at b, at breakpoints and between them
+    sp, x = case
+    xs, q = sp.xs, sp.q
+    right = q if x == sp.b else bisect_right(xs, x) - 1
+    assert sp.find_interval(x) == right
+    lay = build_layout(sp)
+    for side, want in (("right", right),
+                       ("left", q if x == sp.b else bisect_left(xs, x) - 1)):
+        reads = _Reads(lay.run_of_interval)
+        reads.read = []
+        probe = replace(lay, run_of_interval=reads)
+        if side == "left" and x == sp.a:
+            with pytest.raises(ValueError):
+                eval_c0_derivatives(sp, x, side, 1, FLOAT, probe)
+            continue
+        eval_c0_derivatives(sp, x, side, 1, FLOAT, probe)
+        assert reads.read == [want]

@@ -249,3 +249,41 @@ def test_experiment_accepts_route_names(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     errs = {r[0]: r[1] for r in rows[1:]}
     assert errs["rki"] == errs["greville"] and float(errs["rki"]) <= 5e-14
+
+
+@pytest.mark.parametrize("flag", ["--space", "--coeffs", "--out"])
+def test_path_that_is_a_directory_is_an_input_error(capsys, tmp_path, flag):
+    # opening a directory raises IsADirectoryError, not FileNotFoundError;
+    # it exits 1 with one error line and writes nothing
+    paths = {"--space": space_file(tmp_path, {"interval": [0.0, 2.0], "breakpoints": [1.0],
+                                              "degrees": [2, 1], "continuities": [1]}),
+             "--coeffs": str(tmp_path / "c.txt"),
+             "--out": str(tmp_path / "f.csv")}
+    (tmp_path / "c.txt").write_text("1 1 1")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths[flag] = str(folder)
+    argv = [item for pair in paths.items() for item in pair]
+    rc, out, err = run(capsys, "eval", "--grid", "3", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(folder.iterdir()) == [] and not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_coefficients(capsys, tmp_path, bad):
+    out_path = tmp_path / "f.csv"
+    (tmp_path / "c.txt").write_text(" ".join(["1"] * 4 + [bad] + ["1"] * 4))
+    rc, out, err = run(capsys, "eval", "--preset", "test1", "--grid", "3",
+                       "--coeffs", str(tmp_path / "c.txt"), "--out", str(out_path))
+    assert rc == 1 and out == "" and not out_path.exists()
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+
+
+def test_broken_pipe_exits_cleanly(capsys, monkeypatch):
+    # a reader that closes the pipe early is not an error
+    class Closed(io.StringIO):
+        def write(self, _text):
+            raise BrokenPipeError
+    monkeypatch.setattr("sys.stdout", Closed())
+    assert main(["validate", "--preset", "cox"]) == 0

@@ -10,12 +10,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import random_space
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       UnsupportedSpaceError, build_matrix_rki, eval_basis,
                       eval_spline, greville, insert_knot_coeffs)
+from mdspline._scalars import dtype_of
+from mdspline.assembler import DERIVATIVE, MIXED, RDE, RKI, build_matrix
+from mdspline.c0_engine import eval_c0_basis
 from mdspline.eval_api import insertion_weights
 from mdspline.join_core import Bundle, OrderData
-from mdspline.presets import preset_space
+from mdspline.presets import PRESETS, TABLE7_RANGE, preset_space, table7
 
 # highlighted function values at the interior breakpoints, N_5 of test1
 TEST1_VALUES = {
@@ -199,3 +203,48 @@ def test_eval_rejects_a_split_row_band():
     zero_row = Bundle(ref, {0: OrderData(matrix, ref, in0, matrix.dot(in0))})
     with pytest.raises(NumericalInconsistencyError):
         eval_basis(zero_row, 0.5)
+
+
+def full_scan_window(bundle, x, field):
+    """The window of eval_basis by the full row scan: every row whose nonzero
+    columns meet the reference window, which must be one run of rows, times
+    the reference values."""
+    ref = eval_c0_basis(bundle.ref, x, field)
+    c0, c1 = ref.first - 1, ref.last - 1
+    nz = bundle.matrix != 0
+    lo = nz.argmax(axis=1)
+    hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
+    rows = np.flatnonzero((lo <= c1) & (hi >= c0))
+    assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+    return rows[0] + 1, bundle.matrix[rows, c0:c1 + 1].dot(ref.values)
+
+
+def row_selection_cases():
+    rng = np.random.default_rng(14)
+    spaces = ([f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE]
+              + [random_space(s) for s in range(200)])
+    for sp in spaces:
+        points = [*sp.xs, *rng.uniform(sp.a, sp.b, 3)]
+        for route in (RKI, RDE, MIXED, DERIVATIVE):
+            yield build_matrix(sp, route), points, FLOAT
+    for name in ("test1", "test3", "table7"):
+        sp = PRESETS[name]()
+        mids = [(F(u) + F(v)) / 2 for u, v in zip(sp.xs, sp.xs[1:])]
+        for route in (RKI, RDE):
+            yield build_matrix(sp, route, EXACT), [F(v) for v in sp.xs] + mids, EXACT
+
+
+def test_row_selection_is_the_full_scan():
+    # the two bisections of the stored band pick the same rows as a scan of
+    # all K rows, so values and spline sums are equal bit for bit
+    for bundle, points, field in row_selection_cases():
+        coeffs = np.linspace(-1, 1, bundle.space.dimension).astype(dtype_of(field))
+        if field is EXACT:
+            coeffs = np.array([F(int(c * 64), 64) for c in coeffs], dtype=object)
+        for x in points:
+            first, vals = full_scan_window(bundle, x, field)
+            got = eval_basis(bundle, x)
+            assert (got.first, got.size) == (first, bundle.space.dimension)
+            assert got.values.dtype == vals.dtype and got.values.tolist() == vals.tolist()
+            assert eval_spline(bundle, coeffs, x) == \
+                coeffs[first - 1:first - 1 + len(vals)].dot(vals)
