@@ -1,4 +1,4 @@
-"""Directly evaluable piecewise spaces: slot layout, basis values, integrals.
+"""Directly evaluable piecewise spaces: basis values, derivatives, integrals.
 
 A space is directly evaluable when every degree change happens at a breakpoint
 with continuity <= 0. Its basis then decomposes into conventional B-splines on
@@ -7,18 +7,20 @@ degree glues the last function of the left run and the first of the right run
 into a single basis function (one shared slot), a continuity -1 boundary keeps
 the runs independent, and a continuity k <= -2 boundary additionally inserts
 -k-1 zero-function slots before the functions of the right run. Intervals of
-negative degree carry no functions at all.
+negative degree carry no functions at all. The extended partitions s, t lay
+all of this out: the Cox-de Boor window of an interval reads its knots from
+them, s to the left of the point and t to the right, which skips the shared
+and zero slots of other runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, is_exact
+from ._scalars import EXACT, FLOAT, dtype_of, zeros
 from .errors import SpaceValidationError
 from .spaces import MDSpace
 
@@ -35,112 +37,29 @@ class BasisValues:
         return self.first + len(self.values) - 1
 
     def scatter(self):
-        full = np.zeros(self.size) if self.values.dtype != object else \
-            np.array([Fraction(0)] * self.size, dtype=object)
+        full = zeros(self.size, EXACT if self.values.dtype == object else FLOAT)
         full[self.first - 1:self.first - 1 + len(self.values)] = self.values
         return full
 
 
-@dataclass(frozen=True)
-class Run:
-    degree: int
-    knots: tuple[float, ...]
-    first_slot: int          # global slot (1-based) of the run's first function
-    n_fns: int
-    j0: int                  # first interval index covered
-    j1: int                  # one past the last interval index
-
-
-@dataclass(frozen=True)
-class SlotLayout:
-    space: MDSpace
-    runs: tuple[Run, ...]
-    run_of_interval: tuple[int | None, ...]   # per interval; None on gaps
-    zero_slots: frozenset[int]
-    dimension: int
-
-
-def build_layout(space: MDSpace) -> SlotLayout:
+def evaluable_partitions(space: MDSpace) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The extended partitions (s, t) of a directly evaluable space: its slot
+    layout and its knots. Slot i is supported on [s_i, t_i], s_i >= t_i marks a
+    zero slot, and the window of an interval of degree d >= 0 starts d slots
+    before the count of s entries at or before the point (before it, for a
+    left limit)."""
     if not space.is_directly_evaluable():
         raise SpaceValidationError(
             f"space {space} has a degree change at positive continuity")
-    xs, d, ks = space.xs, space.degrees, space.continuities
-    q = space.q
-
-    # Group intervals into runs separated at continuity <= -1 boundaries,
-    # at gaps, and at degree changes (those happen at continuity 0 here).
-    pieces: list[tuple[int, int]] = []        # (j0, j1) interval ranges, gaps too
-    j0 = 0
-    for i in range(1, q + 1):
-        same_run = (d[i - 1] == d[i] and d[i] >= 0 and ks[i - 1] >= 0)
-        if not same_run:
-            pieces.append((j0, i))
-            j0 = i
-    pieces.append((j0, q + 1))
-
-    entries: list[tuple] = []                 # ('z',) or ('f', run_id, local)
-    runs: list[Run] = []
-    run_of_interval: list[int | None] = [None] * (q + 1)
-    pending_merge = False
-    for (p0, p1) in pieces:
-        deg = d[p0]
-        if deg < 0:
-            pending_merge = False
-        else:
-            interior = [xs[i] for i in range(p0 + 1, p1)]
-            mults = [deg - ks[i - 1] for i in range(p0 + 1, p1)]
-            knots = [xs[p0]] * (deg + 1)
-            for x, mlt in zip(interior, mults):
-                knots.extend([x] * mlt)
-            knots.extend([xs[p1]] * (deg + 1))
-            n_fns = len(knots) - deg - 1
-            if pending_merge:
-                first_slot = len(entries)     # share the previous entry
-                start_local = 1
-            else:
-                first_slot = len(entries) + 1
-                start_local = 0
-            rid = len(runs)
-            runs.append(Run(deg, tuple(knots), first_slot, n_fns, p0, p1))
-            for j in range(p0, p1):
-                run_of_interval[j] = rid
-            for local in range(start_local, n_fns):
-                entries.append(('f', rid, local))
-            pending_merge = False
-        if p1 <= q:
-            k = ks[p1 - 1]
-            if k == 0:
-                pending_merge = True
-            else:
-                pending_merge = False
-                entries.extend([('z',)] * (-k - 1))
-
-    head = max(0, -(d[0] + 1))
-    tail = max(0, -(d[-1] + 1))
-    if any(e[0] != 'z' for e in entries[:head]) or \
-       (tail and any(e[0] != 'z' for e in entries[len(entries) - tail:])):
-        raise SpaceValidationError(f"slot deficit not covered by zero slots in {space}")
-    entries = entries[head:len(entries) - tail if tail else len(entries)]
-    if head:
-        runs = [Run(r.degree, r.knots, r.first_slot - head, r.n_fns, r.j0, r.j1)
-                for r in runs]
-
-    zero_slots = frozenset(i + 1 for i, e in enumerate(entries) if e[0] == 'z')
-    layout = SlotLayout(space, tuple(runs), tuple(run_of_interval), zero_slots, len(entries))
-
-    s, t = space.extended_partitions()
-    expected_zero = frozenset(i + 1 for i in range(len(s)) if s[i] >= t[i])
-    if len(entries) != space.dimension or zero_slots != expected_zero:
-        raise SpaceValidationError(f"slot layout inconsistent for {space}")
-    return layout
+    return space.extended_partitions()
 
 
 def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     """Integral of each basis function: sum of (piece width)/(degree+1) over
     the support pieces. Zero-function slots get 0."""
-    xs, conv = space.xs, Fraction if is_exact(field) else float
+    xs = space.xs
     pos = {x: i for i, x in enumerate(xs)}
-    piece = [(conv(xs[i + 1]) - conv(xs[i])) / (d + 1) if d >= 0 else None
+    piece = [(field(xs[i + 1]) - field(xs[i])) / (d + 1) if d >= 0 else None
              for i, d in enumerate(space.degrees)]      # no function on that interval
     out = []
     for a, b in zip(*space.extended_partitions()):
@@ -151,16 +70,17 @@ def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     return np.array(out, dtype=dtype_of(field))
 
 
-def _basis_window(knots, degree, span, x, field):
-    """Values of the degree+1 B-splines that are nonzero on knot span `span`;
-    knots are lifted into the field as read, and each level overwrites the last."""
+def _basis_window(s, t, first, degree, x, field):
+    """Values of the degree+1 B-splines of slots first .. first+degree (1-based):
+    knot tau_{span+1-j} is s[first+degree-j] and tau_{span+j} is t[first-2+j].
+    Knots are lifted into the field as read, and each level overwrites the last."""
     zero = field(0)
     vals = [field(1)] + [zero] * degree
     left = [zero] * (degree + 1)
     right = [zero] * (degree + 1)
     for j in range(1, degree + 1):
-        left[j] = x - field(knots[span + 1 - j])
-        right[j] = field(knots[span + j]) - x
+        left[j] = x - field(s[first + degree - j])
+        right[j] = field(t[first - 2 + j]) - x
         saved = zero
         for r in range(j):
             rr, ll = right[r + 1], left[j - r]
@@ -171,9 +91,10 @@ def _basis_window(knots, degree, span, x, field):
     return vals
 
 
-def _ders_window(knots, degree, span, x, order, field):
-    """Order-th derivative values of the window B-splines (one-sided at knots
-    through the choice of span). Orders above the degree are all zero."""
+def _ders_window(s, t, first, degree, x, order, field):
+    """Order-th derivative values of the window B-splines, with the knots of
+    `_basis_window` (one-sided at knots through the choice of first). Orders
+    above the degree are all zero."""
     if order > degree:
         return [field(0)] * (degree + 1)
     ndu = [[field(0)] * (degree + 1) for _ in range(degree + 1)]
@@ -181,8 +102,8 @@ def _ders_window(knots, degree, span, x, order, field):
     left = [field(0)] * (degree + 1)
     right = [field(0)] * (degree + 1)
     for j in range(1, degree + 1):
-        left[j] = x - field(knots[span + 1 - j])
-        right[j] = field(knots[span + j]) - x
+        left[j] = x - field(s[first + degree - j])
+        right[j] = field(t[first - 2 + j]) - x
         saved = field(0)
         for r in range(j):
             ndu[j][r] = right[r + 1] + left[j - r]
@@ -220,44 +141,35 @@ def _ders_window(knots, degree, span, x, order, field):
     return out
 
 
-def _find_span(knots, degree, x, side_left=False):
-    span = (bisect_left if side_left else bisect_right)(knots, x) - 1
-    return min(max(span, degree), len(knots) - degree - 2)
-
-
-def eval_c0_basis(space: MDSpace, x, field=FLOAT, layout: SlotLayout | None = None
-                  ) -> BasisValues:
-    """Nonzero basis window at x (half-open intervals, closed at b)."""
-    layout = layout or build_layout(space)
-    j = space.find_interval(float(x))
-    rid = layout.run_of_interval[j]
-    if rid is None:
-        return BasisValues(1, np.array([], dtype=dtype_of(field)), layout.dimension)
-    run = layout.runs[rid]
-    span = _find_span(run.knots, run.degree, x)
-    vals = _basis_window(run.knots, run.degree, span, x, field)
-    first = run.first_slot + span - run.degree
-    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), layout.dimension)
+def eval_c0_basis(space: MDSpace, x, field=FLOAT, partitions=None) -> BasisValues:
+    """Nonzero basis window at x (half-open intervals, closed at b);
+    `partitions` are those of `evaluable_partitions(space)`."""
+    s, t = partitions or evaluable_partitions(space)
+    degree = space.degrees[space.find_interval(x)]
+    if degree < 0:
+        return BasisValues(1, np.array([], dtype=dtype_of(field)), len(s))
+    first = bisect_right(s, x) - degree
+    vals = _basis_window(s, t, first, degree, x, field)
+    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), len(s))
 
 
 def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
-                        layout: SlotLayout | None = None) -> BasisValues:
-    """One-sided derivative values of the basis window at x."""
+                        partitions=None) -> BasisValues:
+    """One-sided derivative values of the basis window at x; a left limit
+    belongs to the interval that ends at x, a right limit at b to the last."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    layout = layout or build_layout(space)
-    xf = float(x)
-    if side == "left" or xf == space.b:
-        if not space.a < xf <= space.b:
+    s, t = partitions or evaluable_partitions(space)
+    if side == "left":
+        if not space.a < x <= space.b:
             raise ValueError(f"no left limit at {x} in [{space.a}, {space.b}]")
-        j = space.q if xf == space.b else bisect_left(space.breakpoints, xf)
+        degree = space.degrees[bisect_left(space.breakpoints, x)]
+        count = bisect_left(s, x)
     else:
-        j = space.find_interval(xf)
-    rid = layout.run_of_interval[j]
-    if rid is None:
-        return BasisValues(1, np.array([], dtype=dtype_of(field)), layout.dimension)
-    run = layout.runs[rid]
-    span = _find_span(run.knots, run.degree, x, side_left=(side == "left"))
-    vals = _ders_window(run.knots, run.degree, span, x, order, field)
-    first = run.first_slot + span - run.degree
-    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), layout.dimension)
+        degree = space.degrees[space.find_interval(x)]
+        count = bisect_right(s, x)
+    if degree < 0:
+        return BasisValues(1, np.array([], dtype=dtype_of(field)), len(s))
+    first = count - degree
+    vals = _ders_window(s, t, first, degree, x, order, field)
+    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), len(s))

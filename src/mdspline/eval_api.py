@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, is_exact, zeros
-from .c0_engine import BasisValues, build_layout, eval_c0_basis
+from ._scalars import FLOAT, dtype_of, zeros
+from .c0_engine import BasisValues, eval_c0_basis, evaluable_partitions
 from .errors import NumericalInconsistencyError, UnsupportedSpaceError
 from .join_core import Bundle
 from .spaces import MDSpace
@@ -31,11 +30,11 @@ def _band(bundle: Bundle) -> tuple[list[int], list[int], int]:
     return cached
 
 
-def _ref_layout(bundle: Bundle):
-    cached = getattr(bundle, "_ref_layout", None)
+def _ref_partitions(bundle: Bundle):
+    cached = getattr(bundle, "_ref_partitions", None)
     if cached is None:
-        cached = build_layout(bundle.orders[0].ref)
-        bundle._ref_layout = cached
+        cached = evaluable_partitions(bundle.orders[0].ref)
+        bundle._ref_partitions = cached
     return cached
 
 
@@ -44,7 +43,7 @@ def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
     reference columns c0..c1 are one run, found by bisecting the ordered band."""
     field = field or bundle.field
     lo, hi, size = _band(bundle)
-    ref_vals = eval_c0_basis(bundle.orders[0].ref, x, field, _ref_layout(bundle))
+    ref_vals = eval_c0_basis(bundle.orders[0].ref, x, field, _ref_partitions(bundle))
     if len(ref_vals.values) == 0:
         return BasisValues(1, ref_vals.values, size)
     c0 = ref_vals.first - 1
@@ -77,15 +76,14 @@ def greville(bundle: Bundle) -> np.ndarray:
     steps = bundle.orders[1].integrals
     field = bundle.field
     out = zeros(space.dimension, field)
-    conv = Fraction if is_exact(field) else float
-    acc = conv(space.a)
+    acc = field(space.a)
     out[0] = acc
     for i, dv in enumerate(steps, 1):
         if not dv > 0:
             raise NumericalInconsistencyError(f"abscissa step not positive: {dv!r}")
         acc = acc + dv
         out[i] = acc
-    out[-1] = conv(space.b)
+    out[-1] = field(space.b)
     return out
 
 

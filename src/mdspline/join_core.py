@@ -265,11 +265,9 @@ def section_bundle(section: MDSpace, field=FLOAT, top: int | None = None) -> Bun
     return Bundle(section, orders, field)
 
 
-def _check_positive(value, field):
-    if is_exact(field):
-        if value <= 0:
-            raise NumericalInconsistencyError(f"basis integral is not positive: {value}")
-    elif not value > 0.0:
+def _check_positive(value):
+    """Zero and negatives fail in both fields, and so does NaN in floats."""
+    if not value > 0:
         raise NumericalInconsistencyError(f"basis integral is not positive: {value!r}")
 
 
@@ -288,7 +286,7 @@ def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
     pres = pre[ib - 1 - off:ie + 1 - off].tolist()
     alphas, betas = [], []
     for n, den in enumerate(post[ib - 1 - off:ie - off].tolist()):
-        _check_positive(den, field)
+        _check_positive(den)
         alphas.append(a_below[n] * pres[n] / den)
         betas.append(b_below[n + 1] * pres[n + 1] / den)
     return make_coefficients(ib, ie, alphas, betas, field)
@@ -349,12 +347,6 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
         if trace is not None:
             trace.steps.append(_glue_step(seam, n, lo, ro, field))
         sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
-        if n == 0:      # no step: the whole gluing
-            integrals = c0_join_integrals(lo.integrals, ro.integrals)
-            orders[r] = OrderData(c0_join_matrices(lo.matrix, ro.matrix, field),
-                                  join_spaces(lo.ref, ro.ref, 0), in0, integrals)
-            below, pre = cos, [sides, integrals[base:]]
-            continue
         block = _seam_block(lo, ro, n, field)
         ints = [sides, block[:, -1]]
         for k in range(1, n + 1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._scalars import FLOAT
-from .c0_engine import build_layout, eval_c0_derivatives
+from .c0_engine import eval_c0_derivatives, evaluable_partitions
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
                         apply_bidiagonal, c0_join_integrals, c0_join_matrices,
@@ -25,10 +25,10 @@ def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
                           ib: int, ie: int, field=FLOAT) -> RKICoefficients:
     """Coefficients of the step that raises the seam from C^{k-1} to C^k, from
     order-k derivative jumps of the current basis rows at the seam."""
-    layout = build_layout(ref)
+    parts = evaluable_partitions(ref)
     x = field(seam)
-    left = eval_c0_derivatives(ref, x, "left", k, field, layout)
-    right = eval_c0_derivatives(ref, x, "right", k, field, layout)
+    left = eval_c0_derivatives(ref, x, "left", k, field, parts)
+    right = eval_c0_derivatives(ref, x, "right", k, field, parts)
     jumps = [matrix[i - 1][left.first - 1:left.last].dot(left.values) -
              matrix[i - 1][right.first - 1:right.last].dot(right.values)
              for i in range(ib - 1, ie + 1)]
