@@ -3,7 +3,9 @@
 Every numerical kernel in this package is written against a generic scalar
 field so the same code runs in float64 (production) and in exact rational
 arithmetic (the built-in oracle). A field is identified by the callable used
-to convert plain Python numbers: ``float`` or ``fractions.Fraction``.
+to convert plain Python numbers: ``float`` or ``fractions.Fraction``. Only the
+functions that make scalars from a space or from plain numbers take a field;
+the rest read it from the arrays (`field_of`) or bundles they are given.
 Fraction(float) is exact, so converting the stored double-precision
 breakpoints loses nothing.
 """
@@ -24,6 +26,11 @@ def is_exact(field) -> bool:
 
 def dtype_of(field):
     return object if field is Fraction else np.float64
+
+
+def field_of(array: np.ndarray):
+    """The field whose scalars `array` holds: the inverse of `dtype_of`."""
+    return Fraction if array.dtype == object else FLOAT
 
 
 def zeros(shape, field) -> np.ndarray:

@@ -118,7 +118,7 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
     for jn in (jn for jn in dec.join_order if jn in seams):
         pos = next(i for i, b in enumerate(blocks) if b.space.b == jn.x)
         left, right = blocks[pos], blocks[pos + 1]
-        blocks[pos:pos + 2] = [join(left, right, jn.continuity, field, trace)]
+        blocks[pos:pos + 2] = [join(left, right, jn.continuity, trace=trace)]
     out = blocks[0]
     out.strategy = route
     if out.space != space:

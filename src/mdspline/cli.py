@@ -275,8 +275,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:        # an OSError, so caught before the clause below
         return 0
     except (SpaceValidationError, OSError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            json.JSONDecodeError) as exc:     # str(KeyError) would quote the message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     except MDSplineError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

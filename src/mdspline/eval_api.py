@@ -13,9 +13,10 @@ from .join_core import Bundle
 from .spaces import MDSpace
 
 
-def _band(bundle: Bundle) -> tuple[list[int], list[int], int]:
+def _band(bundle: Bundle) -> tuple[list[int], list[int], int, tuple]:
     """First and last nonzero column (0-based) of each row of the order-0
-    matrix, each nondecreasing from row to row, and the row count K."""
+    matrix, each nondecreasing from row to row, the row count K and the
+    partitions of the reference; the first evaluation computes them."""
     cached = getattr(bundle, "_band", None)
     if cached is None:
         nz = bundle.matrix != 0
@@ -25,16 +26,8 @@ def _band(bundle: Bundle) -> tuple[list[int], list[int], int]:
         hi = nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
         if (np.diff(lo) < 0).any() or (np.diff(hi) < 0).any():
             raise NumericalInconsistencyError("row bands are not ordered")
-        cached = (lo.tolist(), hi.tolist(), len(lo))
+        cached = (lo.tolist(), hi.tolist(), len(lo), evaluable_partitions(bundle.ref))
         bundle._band = cached
-    return cached
-
-
-def _ref_partitions(bundle: Bundle):
-    cached = getattr(bundle, "_ref_partitions", None)
-    if cached is None:
-        cached = evaluable_partitions(bundle.orders[0].ref)
-        bundle._ref_partitions = cached
     return cached
 
 
@@ -42,8 +35,8 @@ def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
     """Window of basis values of the represented space at x; the rows meeting
     reference columns c0..c1 are one run, found by bisecting the ordered band."""
     field = field or bundle.field
-    lo, hi, size = _band(bundle)
-    ref_vals = eval_c0_basis(bundle.orders[0].ref, x, field, _ref_partitions(bundle))
+    lo, hi, size, parts = _band(bundle)
+    ref_vals = eval_c0_basis(bundle.ref, x, field, parts)
     if len(ref_vals.values) == 0:
         return BasisValues(1, ref_vals.values, size)
     c0 = ref_vals.first - 1
@@ -55,10 +48,9 @@ def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
     return BasisValues(r0 + 1, vals, size)
 
 
-def eval_spline(bundle: Bundle, coefficients, x, field=None):
-    field = field or bundle.field
-    coefficients = np.asarray(coefficients, dtype=dtype_of(field))
-    w = eval_basis(bundle, x, field)
+def eval_spline(bundle: Bundle, coefficients, x):
+    coefficients = np.asarray(coefficients, dtype=dtype_of(bundle.field))
+    w = eval_basis(bundle, x)
     if len(coefficients) != w.size:
         raise ValueError(f"expected {w.size} coefficients")
     return coefficients[w.first - 1:w.last].dot(w.values)

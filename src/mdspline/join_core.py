@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, eye, is_exact, zeros
+from ._scalars import FLOAT, dtype_of, eye, field_of, is_exact, zeros
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError, SpaceValidationError, UnsupportedSpaceError
 from .spaces import MDSpace
@@ -73,26 +73,25 @@ class RKICoefficients:
         return len(self.alphas)
 
 
-def make_coefficients(ib: int, ie: int, alphas, betas, field=FLOAT) -> RKICoefficients:
-    alphas = tuple(alphas)
-    betas = tuple(betas)
+def make_coefficients(ib: int, ie: int, alphas, betas, field) -> RKICoefficients:
+    alphas, betas, exact = tuple(alphas), tuple(betas), is_exact(field)
     if len(alphas) != len(betas) or len(alphas) != max(0, ie - ib + 1):
         raise ValueError("window size does not match coefficient count")
     for a, b in zip(alphas, betas):
-        if is_exact(field):
+        if exact:
             if a + b != 1:
                 raise NumericalInconsistencyError(f"alpha + beta != 1 exactly: {a} + {b}")
             if not (0 < a <= 1 and 0 <= b < 1):
                 raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
         else:
-            if not (0.0 < a <= 1.0 + 1e-12 and -1e-12 <= b < 1.0):
+            if not (0.0 < a <= 1.0 + 1e-12 and -1e-12 <= b <= 1.0):
                 raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
             if abs(a + b - 1.0) > PAIR_SUM_TOL:
                 raise NumericalInconsistencyError(f"alpha + beta = {a + b} drifts from 1")
     return RKICoefficients(ib, ie, alphas, betas)
 
 
-def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np.ndarray:
+def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients) -> np.ndarray:
     """Combine adjacent rows: out[i] = alpha(i) * in[i] + beta(i+1) * in[i+1].
 
     Only rows lo..ie are combined, where lo is the row before the window
@@ -102,16 +101,17 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients, field=FLOAT) -> np
     or keeps its zero: the rows are narrow bands, so most cells are zero. Floats
     keep the numpy broadcast, where a test per cell costs more than a multiply.
     """
-    lo, hi = max(min(co.ib, co.ie + 2) - 1, 1), co.ie
-    out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype_of(field))
+    lo, hi, field = max(min(co.ib, co.ie + 2) - 1, 1), co.ie, field_of(matrix)
+    dtype = dtype_of(field)
+    out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype)
     if lo > 1:
         out[:lo - 1] = matrix[:lo - 1]
     if hi < len(out):
         out[hi:] = matrix[hi + 1:]
     if hi >= lo:
         n = hi - lo + 1
-        a = np.array(((1,) + co.alphas)[-n:], dtype=dtype_of(field))
-        b = np.array((co.betas + (1,))[-n:], dtype=dtype_of(field))
+        a = np.array(((1,) + co.alphas)[-n:], dtype=dtype)
+        b = np.array((co.betas + (1,))[-n:], dtype=dtype)
         if is_exact(field):
             rows = matrix[lo - 1:hi + 1].tolist()
             out[lo - 1:hi] = [[x * u + y * v if u and v else x * u if u else y * v if v else u
@@ -126,13 +126,12 @@ def c0_join_integrals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.concatenate([left[:-1], [left[-1] + right[0]], right[1:]])
 
 
-def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT,
-                     extra: int = 0) -> np.ndarray:
+def c0_join_matrices(left: np.ndarray, right: np.ndarray, extra: int = 0) -> np.ndarray:
     """Block-join two matrices with a single shared corner entry, then `extra`
-    zero columns."""
+    zero columns, in the field of `left`."""
     la, lb = left.shape
     ra, rb = right.shape
-    corner_l, corner_r = left[-1, -1], right[0, 0]
+    corner_l, corner_r, field = left[-1, -1], right[0, 0], field_of(left)
     if is_exact(field):
         if corner_l != corner_r:
             raise NumericalInconsistencyError("seam entries disagree exactly")
@@ -145,10 +144,10 @@ def c0_join_matrices(left: np.ndarray, right: np.ndarray, field=FLOAT,
     return out
 
 
-def block_diag(left: np.ndarray, right: np.ndarray, field=FLOAT) -> np.ndarray:
+def block_diag(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     la, lb = left.shape
     ra, rb = right.shape
-    out = zeros((la + ra, lb + rb), field)
+    out = zeros((la + ra, lb + rb), field_of(left))
     out[:la, :lb] = left
     out[la:, lb:] = right
     return out
@@ -227,11 +226,11 @@ class Trace:
     steps: list[Step] = dc_field(default_factory=list)
 
 
-def _glue_step(seam, n: int, lo: OrderData, ro: OrderData, field) -> Step:
+def _glue_step(seam, n: int, lo: OrderData, ro: OrderData) -> Step:
     """The C0 gluing as a step: merge the seam rows of the operands side by side."""
     kl = lo.matrix.shape[0]
     return Step("join", seam, n, 0, RKICoefficients(kl + 1, kl, (), ()),
-                block_diag(lo.matrix, ro.matrix, field),
+                block_diag(lo.matrix, ro.matrix),
                 np.concatenate([lo.integrals0, ro.integrals0]))
 
 
@@ -271,8 +270,8 @@ def _check_positive(value):
         raise NumericalInconsistencyError(f"basis integral is not positive: {value!r}")
 
 
-def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
-                       field=FLOAT, off: int = 1) -> RKICoefficients:
+def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre: np.ndarray,
+                       post: np.ndarray, off: int = 1) -> RKICoefficients:
     """Coefficients on window ib..ie of the step above `below`, free of subtraction:
 
         alpha_i = below.alpha(i-1) * pre(i-1) / post(i-1)
@@ -280,7 +279,7 @@ def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
 
     where pre(i) = pre[i - off] and post(i) = post[i - off] are the basis
     integrals of the levels before and after `below`, from arrays that start
-    at index off.
+    at index off, in the field of `post`.
     """
     a_below, b_below = below.values(ib - 1, ie)
     pres = pre[ib - 1 - off:ie + 1 - off].tolist()
@@ -289,35 +288,34 @@ def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre, post,
         _check_positive(den)
         alphas.append(a_below[n] * pres[n] / den)
         betas.append(b_below[n + 1] * pres[n + 1] / den)
-    return make_coefficients(ib, ie, alphas, betas, field)
+    return make_coefficients(ib, ie, alphas, betas, field_of(post))
 
 
-def _seam_block(lo: OrderData, ro: OrderData, n: int, field) -> np.ndarray:
+def _seam_block(lo: OrderData, ro: OrderData, n: int) -> np.ndarray:
     """Rows a - n .. a + n of the C0 gluing of the operands (a left rows), which
     the n steps of join row n combine, with their integrals as a last column.
     Bidiagonal steps and gluings keep row i of a level inside columns
     i .. i + (columns - rows), which bounds the block's columns."""
     (a, _), (kr, cr) = lo.matrix.shape, ro.matrix.shape
     block = c0_join_matrices(lo.matrix[a - n - 1:, a - n - 1:],
-                             ro.matrix[:n + 1, :n + 1 + cr - kr], field, 1)
+                             ro.matrix[:n + 1, :n + 1 + cr - kr], 1)
     block[:, -1] = c0_join_integrals(lo.integrals[a - n - 1:], ro.integrals[:n + 1])
     return block
 
 
-def _join_level(lo: OrderData, ro: OrderData, n: int, block: np.ndarray, field) -> np.ndarray:
+def _join_level(lo: OrderData, ro: OrderData, n: int, block: np.ndarray) -> np.ndarray:
     """The level of join row n whose seam block, after the steps made so far,
     is `block`: the operand rows above it, the block, the shifted rows below."""
     (a, cl), (kr, cr) = lo.matrix.shape, ro.matrix.shape
     top, rows = a - n - 1, block.shape[0]
-    out = zeros((top + rows + kr - n - 1, cl + cr - 1), field)
+    out = zeros((top + rows + kr - n - 1, cl + cr - 1), field_of(block))
     out[:top, :cl] = lo.matrix[:top]
     out[top:top + rows, top:top + block.shape[1] - 1] = block[:, :-1]
     out[top + rows:, cl - 1:] = ro.matrix[n + 1:]
     return out
 
 
-def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
-            trace: Trace | None = None) -> Bundle:
+def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) -> Bundle:
     """Join two bundles with continuity r at the seam left.space.b.
 
     Requires operand orders 0..max(r, 1). The result carries orders 0..r, or
@@ -326,8 +324,8 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
     steps on its seam block only; all blocks start after the same `base` rows,
     so steps and the integrals of row n - 1 they read number block rows.
     """
-    if left.field is not field or right.field is not field:
-        raise ValueError("operand bundles use a different scalar field")
+    if left.field is not right.field:
+        raise ValueError("operand bundles use different scalar fields")
     seam = left.space.b
     need = max(r, 1)
     for op in (left, right):
@@ -345,28 +343,28 @@ def cr_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
         in0 = c0_join_integrals(lo.integrals0, ro.integrals0)
         cos = [RKICoefficients(n + 2, n + 1, (), ())]
         if trace is not None:
-            trace.steps.append(_glue_step(seam, n, lo, ro, field))
+            trace.steps.append(_glue_step(seam, n, lo, ro))
         sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
-        block = _seam_block(lo, ro, n, field)
+        block = _seam_block(lo, ro, n)
         ints = [sides, block[:, -1]]
         for k in range(1, n + 1):
-            co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1], pre[k], field)
+            co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1], pre[k])
             alpha_count += co.nontrivial_count
             cos.append(co)
             if trace is not None:
                 trace.steps.append(Step("join", seam, n, k, co.shifted(base),
-                                        _join_level(lo, ro, n, block, field), in0))
-            block = apply_bidiagonal(block, co, field)
+                                        _join_level(lo, ro, n, block), in0))
+            block = apply_bidiagonal(block, co)
             ints.append(block[:, -1])
         orders[r - n] = OrderData(
-            _join_level(lo, ro, n, block, field), join_spaces(lo.ref, ro.ref, 0), in0,
+            _join_level(lo, ro, n, block), join_spaces(lo.ref, ro.ref, 0), in0,
             np.concatenate([lo.integrals[:base], ints[-1], ro.integrals[n + 1:]]))
         below, pre = cos, ints
 
     if r == 0:
         l1, r1 = left.orders[1], right.orders[1]
-        orders[1] = OrderData(block_diag(l1.matrix, r1.matrix, field),
+        orders[1] = OrderData(block_diag(l1.matrix, r1.matrix),
                               join_spaces(l1.ref, r1.ref, -1),
                               np.concatenate([l1.integrals0, r1.integrals0]),
                               np.concatenate([l1.integrals, r1.integrals]))
-    return Bundle(joined, orders, field, alpha_count, "rki")
+    return Bundle(joined, orders, left.field, alpha_count, "rki")

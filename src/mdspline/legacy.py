@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._scalars import FLOAT
+from ._scalars import field_of
 from .c0_engine import eval_c0_derivatives, evaluable_partitions
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
@@ -22,10 +22,10 @@ from .spaces import MDSpace
 
 
 def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
-                          ib: int, ie: int, field=FLOAT) -> RKICoefficients:
+                          ib: int, ie: int) -> RKICoefficients:
     """Coefficients of the step that raises the seam from C^{k-1} to C^k, from
     order-k derivative jumps of the current basis rows at the seam."""
-    parts = evaluable_partitions(ref)
+    parts, field = evaluable_partitions(ref), field_of(matrix)
     x = field(seam)
     left = eval_c0_derivatives(ref, x, "left", k, field, parts)
     right = eval_c0_derivatives(ref, x, "right", k, field, parts)
@@ -46,23 +46,24 @@ def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
     return RKICoefficients(ib, ie, tuple(alphas), tuple(betas))
 
 
-def legacy_join(left: Bundle, right: Bundle, r: int, field=FLOAT,
-                trace: Trace | None = None) -> Bundle:
+def legacy_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) -> Bundle:
     """Join two order-0 bundles with continuity r, one seam derivative order
     at a time. Step k is recorded as cell (r, k) of a join triangle: the
     bottom-row cell of cr_join that computes the same coefficients."""
+    if left.field is not right.field:
+        raise ValueError("operand bundles use different scalar fields")
     l0, r0 = left.orders[0], right.orders[0]
     seam = left.space.b
     kl = l0.matrix.shape[0]
-    matrix = c0_join_matrices(l0.matrix, r0.matrix, field)
+    matrix = c0_join_matrices(l0.matrix, r0.matrix)
     ref = join_spaces(l0.ref, r0.ref, 0)
     in0 = c0_join_integrals(l0.integrals0, r0.integrals0)
     for k in range(1, r + 1):
-        co = alpha_via_derivatives(matrix, ref, seam, k, kl - k + 1, kl, field)
+        co = alpha_via_derivatives(matrix, ref, seam, k, kl - k + 1, kl)
         if trace is not None:
             trace.steps.append(Step("legacy", seam, r, k, co, matrix, in0))
-        matrix = apply_bidiagonal(matrix, co, field)
+        matrix = apply_bidiagonal(matrix, co)
     joined = join_spaces(left.space, right.space, r)
     orders = {0: OrderData(matrix, ref, in0, matrix.dot(in0))}
     count = left.alpha_count + right.alpha_count + r
-    return Bundle(joined, orders, field, count, "derivative")
+    return Bundle(joined, orders, left.field, count, "derivative")

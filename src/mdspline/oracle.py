@@ -84,7 +84,7 @@ def abscissa_crosscheck(trace: Trace) -> int:
         rows, cols = np.nonzero(below.matrix)      # a dense dot multiplies zeros
         pre = np.zeros(len(below.matrix), dtype=object)
         np.add.at(pre, rows, below.matrix[rows, cols] * below.integrals0[cols])
-        post = apply_bidiagonal(pre[:, None], below.coefficients, EXACT)[:, 0]
+        post = apply_bidiagonal(pre[:, None], below.coefficients)[:, 0]
         xi_hat, xi = _prefix_abscissae(pre), _prefix_abscissae(post)
         co = step.coefficients
         for i in range(co.ib, co.ie + 1):

@@ -75,4 +75,4 @@ def preset_space(name: str) -> MDSpace:
     try:
         return PRESETS[name]()
     except KeyError:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}") from None

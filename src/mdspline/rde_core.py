@@ -73,7 +73,7 @@ def _rows(level) -> np.ndarray:
     return np.concatenate([m[:done], m[done + gone:]])
 
 
-def _lower(level, co: RKICoefficients, field):
+def _lower(level, co: RKICoefficients):
     """Make the level `co` makes from `level` = [array, done, gone], in place:
     rows < done sit at their own index, later ones `gone` rows down. Return the
     integral column of rows lo..ie+1 (lo as in apply_bidiagonal) and of the rows
@@ -87,7 +87,7 @@ def _lower(level, co: RKICoefficients, field):
     if co.ie > shift:       # level 0 has no columns but its integrals
         end = min(co.ie + gone + 1, m.shape[1] - 1)
         rows = np.concatenate([m[shift:co.ie + 1, shift:end], m[shift:co.ie + 1, -1:]], 1)
-        out = apply_bidiagonal(rows, co.shifted(-shift), field)
+        out = apply_bidiagonal(rows, co.shifted(-shift))
         pre, post = rows[:, -1], out[:, -1]
         m[shift:co.ie, shift:end], m[shift:co.ie, -1] = out[:, :-1], post
     return pre, post
@@ -123,12 +123,12 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
             if ib > ie:
                 co = _degenerate(ib, ie, len(levels[k][0]) - levels[k][2])
             else:
-                co = ratio_coefficients(ib, ie, below, pre, post, field, off)
+                co = ratio_coefficients(ib, ie, below, pre, post, off)
                 alpha_count += co.nontrivial_count
             if trace is not None and k:
                 trace.steps.append(Step("lower", (j, h), n, k, co,
                                         _rows(levels[k])[:, :-1], in_ref[k]))
-            pre, post = _lower(levels[k], co, field)
+            pre, post = _lower(levels[k], co)
             off, below = ib - 1, co
 
     orders = {}

@@ -28,10 +28,10 @@ def random_space(seed: int, max_breakpoints: int = 8, max_degree: int = 12) -> M
                           tuple(float(v) for v in knots[1:-1]), degrees, conts)
 
 
-def join_levels(trace, field):
+def join_levels(trace):
     """(n, k) -> (level matrix, reference integrals) made by each join cell
     of a trace."""
-    return {(s.n, s.k): (apply_bidiagonal(s.matrix, s.coefficients, field), s.integrals0)
+    return {(s.n, s.k): (apply_bidiagonal(s.matrix, s.coefficients), s.integrals0)
             for s in trace.steps if s.kind == "join" and s.k > 0}
 
 

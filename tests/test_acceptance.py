@@ -48,7 +48,7 @@ def worked_join(field):
     left = section_bundle(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
     right = section_bundle(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
     trace = Trace()
-    return cr_join(left, right, 3, field, trace), trace
+    return cr_join(left, right, 3, trace=trace), trace
 
 
 def test_criterion_1_exact_join_goldens():
@@ -62,7 +62,7 @@ def test_criterion_1_exact_join_goldens():
     ok = (cells[(1, 1)][3] == F(1, 3) and cells[(2, 1)][4] == F(2, 5)
           and cells[(2, 2)][3] == F(3, 8) and cells[(2, 2)][4] == F(5, 14))
 
-    levels = join_levels(trace, EXACT)
+    levels = join_levels(trace)
 
     def iv(n, k):
         matrix, integrals0 = levels[(n, k)]

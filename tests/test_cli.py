@@ -9,7 +9,7 @@ import pytest
 
 from mdspline import FLOAT, MDSpace, build_matrix_rki
 from mdspline.cli import main
-from mdspline.presets import preset_space
+from mdspline.presets import PRESETS, preset_space
 
 
 def run(capsys, *argv):
@@ -206,7 +206,7 @@ def test_experiment_unknown_preset_writes_nothing(capsys, tmp_path):
     out_path = tmp_path / "e.csv"
     rc, out, err = run(capsys, "experiment", "--preset", "nope", "--out", str(out_path))
     assert rc == 1 and out == "" and not out_path.exists()
-    assert err.startswith("error:") and "cox" in err
+    assert err.startswith("error: unknown preset 'nope'; choose from [") and "cox" in err
 
 
 def test_experiment_unknown_method(capsys):
@@ -226,6 +226,13 @@ def test_matrix_out_file(capsys, tmp_path):
 def test_preset_listing_on_error(capsys):
     rc, _, err = run(capsys, "validate", "--preset", "nope")
     assert rc == 1 and "cox" in err
+    assert err == f"error: unknown preset 'nope'; choose from {sorted(PRESETS)}\n"
+
+
+def test_unknown_preset_raises_without_a_chained_cause():
+    with pytest.raises(KeyError) as info:
+        preset_space("nope")
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

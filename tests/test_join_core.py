@@ -17,10 +17,11 @@ from conftest import join_levels, random_space
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       SpaceValidationError, Trace, assembler, build_matrix, cr_join,
                       join_core, section_bundle)
-from mdspline._scalars import dtype_of, zeros
-from mdspline.join_core import (RKICoefficients, apply_bidiagonal,
+from mdspline._scalars import dtype_of, eye, zeros
+from mdspline.join_core import (RKICoefficients, apply_bidiagonal, block_diag,
                                 c0_join_integrals, c0_join_matrices,
                                 join_spaces, make_coefficients)
+from mdspline.legacy import legacy_join
 from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 
 
@@ -52,7 +53,7 @@ def test_range_reader_matches_the_accessors():
 def test_accessor_merge():
     # empty window with ib = ie + 1 adds rows ie and ie + 1
     co = RKICoefficients(3, 2, (), ())
-    out = apply_bidiagonal(np.eye(4), co, FLOAT)
+    out = apply_bidiagonal(np.eye(4), co)
     assert out.shape == (3, 4)
     assert np.array_equal(out, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
 
@@ -60,7 +61,7 @@ def test_accessor_merge():
 def test_accessor_drop():
     # ib >= ie + 2 deletes row ie + 1
     co = RKICoefficients(4, 2, (), ())
-    out = apply_bidiagonal(np.eye(4), co, FLOAT)
+    out = apply_bidiagonal(np.eye(4), co)
     assert np.array_equal(out, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
@@ -108,7 +109,7 @@ def test_apply_matches_dense_product(data):
     mat = np.array([[field(0) if i in zero_rows or data.draw(st.booleans())
                      else value(0.05, 2) * data.draw(st.sampled_from((1, -1)))
                      for _ in range(cols)] for i in range(m)], dtype=dtype_of(field))
-    got = apply_bidiagonal(mat, co, field)
+    got = apply_bidiagonal(mat, co)
     if field is EXACT:
         assert got.dtype == object and np.array_equal(got, dense_step(co, m, field).dot(mat))
         assert all(type(x) is F for x in got.ravel())
@@ -131,7 +132,7 @@ def test_traced_steps_are_the_textbook_product(space, route):
     trace = Trace()
     bundle = build_matrix(space, route, EXACT, trace)
     for s in trace.steps:
-        level = apply_bidiagonal(s.matrix, s.coefficients, EXACT)
+        level = apply_bidiagonal(s.matrix, s.coefficients)
         want = dense_step(s.coefficients, s.matrix.shape[0], EXACT).dot(s.matrix)
         assert level.tolist() == want.tolist(), (s.kind, s.at, s.n, s.k)
     if trace.steps and trace.steps[-1].k:
@@ -144,7 +145,7 @@ def test_c0_join_integrals():
 
 
 def test_c0_join_matrices_identities():
-    out = c0_join_matrices(np.eye(2), np.eye(3), FLOAT)
+    out = c0_join_matrices(np.eye(2), np.eye(3))
     assert np.array_equal(out, np.eye(4))
 
 
@@ -152,7 +153,28 @@ def test_c0_join_matrices_corner_disagreement():
     left = np.eye(2)
     left[1, 1] = 0.5
     with pytest.raises(NumericalInconsistencyError):
-        c0_join_matrices(left, np.eye(2), FLOAT)
+        c0_join_matrices(left, np.eye(2))
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_kernels_keep_the_field_of_their_input(field):
+    one, half = eye(3, field), field(1) / 2
+    for out in (apply_bidiagonal(one, RKICoefficients(2, 2, (half,), (half,))),
+                c0_join_matrices(one, one, 1), block_diag(one, one)):
+        assert out.dtype == dtype_of(field)
+        assert all(isinstance(v, field) for v in out.ravel())
+
+
+@pytest.mark.parametrize("join", [cr_join, legacy_join])
+def test_joins_take_the_field_of_their_operands(join):
+    left = section_bundle(MDSpace.create((0.0, 1.0), (), (2,), ()), FLOAT)
+    right = section_bundle(MDSpace.create((1.0, 2.0), (), (3,), ()), EXACT)
+    with pytest.raises(ValueError, match="different scalar fields"):
+        join(left, right, 1)
+    exact = section_bundle(left.space, EXACT)
+    assert join(exact, right, 1).field is EXACT
+    with pytest.raises(TypeError):
+        join(exact, right, 1, EXACT)    # a stale positional field is not taken as the trace
 
 
 def test_join_spaces_dimensions():
@@ -201,9 +223,9 @@ def test_join_window_start_is_the_extended_partition_count(monkeypatch, field):
         spaces = [PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "table7")]
     starts = []
 
-    def recording(left, right, r, field, trace):
+    def recording(left, right, r, trace):
         own = Trace()
-        out = cr_join(left, right, r, field, own)
+        out = cr_join(left, right, r, trace=own)
         if r > 0:
             cell = next(s for s in own.steps if (s.n, s.k) == (r, r))
             space11 = join_spaces(left.space.derivative_space(r - 1),
@@ -253,7 +275,7 @@ def first_join(field):
     left = section_bundle(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
     right = section_bundle(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
     trace = Trace()
-    return cr_join(left, right, 3, field, trace), trace
+    return cr_join(left, right, 3, trace=trace), trace
 
 
 def test_first_join_cell_fractions():
@@ -281,7 +303,7 @@ def test_first_join_gluing_steps():
 
 
 def test_first_join_integral_vectors():
-    levels = join_levels(first_join(EXACT)[1], EXACT)
+    levels = join_levels(first_join(EXACT)[1])
 
     def iv(n, k):
         matrix, integrals0 = levels[(n, k)]
@@ -292,7 +314,7 @@ def test_first_join_integral_vectors():
 
 
 def test_first_join_matrices():
-    levels = join_levels(first_join(EXACT)[1], EXACT)
+    levels = join_levels(first_join(EXACT)[1])
     m11 = [[1, 0, 0, 0], [0, 1, F(2, 3), 0], [0, 0, F(1, 3), 1]]
     assert levels[(1, 1)][0].tolist() == m11
     m22 = [[1, 0, 0, 0, 0, 0],
@@ -326,7 +348,7 @@ def test_join_emits_decreasing_orders():
 def test_zero_continuity_join_keeps_two_orders():
     left = section_bundle(MDSpace.create((0.0, 1.0), (), (2,), ()), EXACT)
     right = section_bundle(MDSpace.create((1.0, 2.0), (), (3,), ()), EXACT)
-    bundle = cr_join(left, right, 0, EXACT)
+    bundle = cr_join(left, right, 0)
     assert set(bundle.orders) >= {0, 1}
     assert bundle.alpha_count == 0
     assert np.array_equal(bundle.matrix, np.array(np.eye(6), dtype=object))
@@ -337,7 +359,7 @@ def test_alpha_count_formula():
         d = r + 1
         left = section_bundle(MDSpace.create((0.0, 1.0), (), (d,), ()), FLOAT)
         right = section_bundle(MDSpace.create((1.0, 2.0), (), (d,), ()), FLOAT)
-        bundle = cr_join(left, right, r, FLOAT)
+        bundle = cr_join(left, right, r)
         assert bundle.alpha_count == r * (r + 1) * (r + 2) // 6
 
 
@@ -356,15 +378,15 @@ def test_join_steps_combine_only_the_seam_block(monkeypatch, field):
     rows, joined = [], []
     real_join, real_apply = cr_join, apply_bidiagonal
 
-    def joining(left, right, r, field, trace):
+    def joining(left, right, r, trace):
         rows.append((r, []))
-        out = real_join(left, right, r, field, trace)
+        out = real_join(left, right, r, trace=trace)
         joined.append(out.matrix.shape[0] - (2 * r + 1))
         return out
 
-    def applying(matrix, co, field=FLOAT):
+    def applying(matrix, co):
         rows[-1][1].append(matrix.shape[0])
-        return real_apply(matrix, co, field)
+        return real_apply(matrix, co)
 
     monkeypatch.setattr(assembler, "cr_join", joining)
     monkeypatch.setattr(join_core, "apply_bidiagonal", applying)

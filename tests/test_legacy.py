@@ -78,7 +78,7 @@ def test_vanishing_jump_raises():
     sp = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,))
     matrix = np.eye(3)
     with pytest.raises(NumericalInconsistencyError):
-        alpha_via_derivatives(matrix, sp, 1.0, 2, 2, 2, FLOAT)
+        alpha_via_derivatives(matrix, sp, 1.0, 2, 2, 2)
 
 
 def test_bundle_shape():

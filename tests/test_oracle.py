@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import EXACT, FLOAT, MDSpace, build_matrix_rde, build_matrix_rki
+from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, build_matrix,
+                      build_matrix_rde, build_matrix_rki)
 from mdspline.oracle import (boehm_crosscheck, derivative_formula_crosscheck,
                              eval_exact, exact_bundle, fraction_matrix_strings,
                              greville_crosscheck, matrix_error, value_error)
@@ -106,3 +107,21 @@ def test_float_error_small_on_worked_space():
     exact = exact_bundle(worked_space())
     dbl = build_matrix_rki(worked_space(), FLOAT)
     assert matrix_error(dbl.matrix, exact.matrix) < 1e-15
+
+
+@pytest.mark.parametrize("route", ["rki", "rde", "mixed", "derivative"])
+def test_beta_rounded_to_one_still_builds(route):
+    # widths 1 and 1e16: an alpha of 6.7e-17 leaves beta = 1 - alpha, which
+    # rounds to 1.0 in floats; the step is valid and builds on every route
+    space = MDSpace.create((0.0, 1e16 + 1), (1.0,), (3, 2), (1,))
+    exact = build_matrix(space, route, EXACT)
+    assert matrix_error(build_matrix(space, route, FLOAT).matrix, exact.matrix) < 1e-15
+
+
+@pytest.mark.parametrize("route", ["rki", "mixed"])
+def test_alpha_underflowing_to_zero_raises(route):
+    # widths 1e-300 and 1e300: the alpha of the join is below the smallest
+    # double, so the float step cannot be formed and the build says so
+    space = MDSpace.create((0.0, 1e300), (1e-300,), (3, 2), (1,))
+    with pytest.raises(NumericalInconsistencyError, match="out of range: 0.0, 1.0"):
+        build_matrix(space, route, FLOAT)

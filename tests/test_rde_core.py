@@ -190,9 +190,9 @@ def test_steps_combine_only_their_window_rows(monkeypatch):
     # window, whatever the size of the level it acts on
     rows, levels = [], []
 
-    def recording(matrix, co, field=FLOAT):
+    def recording(matrix, co):
         rows.append(matrix.shape[0])
-        return apply_bidiagonal(matrix, co, field)
+        return apply_bidiagonal(matrix, co)
 
     monkeypatch.setattr(rde_core, "apply_bidiagonal", recording)
     for sp in lowering_spaces():
@@ -227,7 +227,7 @@ def test_steps_replay_on_the_dense_level(space, field):
         level = eye(order.ref.dimension, field)
         for s in (s for s in trace.steps if s.k == k):
             assert_same(s.matrix, level, field, (k, s.n))
-            level = apply_bidiagonal(s.matrix, s.coefficients, field)
+            level = apply_bidiagonal(s.matrix, s.coefficients)
         assert_same(order.matrix, level, field, k)
 
 
@@ -241,8 +241,8 @@ def test_step_left_of_the_stepped_rows_is_rejected():
     # row done - 1 would need them moved back down, which no schedule does
     level = [np.eye(4, 5), 3, 0]
     with pytest.raises(NumericalInconsistencyError):
-        rde_core._lower(level, RKICoefficients(2, 1, (), ()), FLOAT)
-    rde_core._lower(level, RKICoefficients(3, 2, (), ()), FLOAT)
+        rde_core._lower(level, RKICoefficients(2, 1, (), ()))
+    rde_core._lower(level, RKICoefficients(3, 2, (), ()))
     assert level[1:] == [2, 1]
 
 
@@ -252,8 +252,8 @@ def test_level_rows_stay_in_their_columns(monkeypatch, field):
     # only in columns i .. i + gone, the columns each step combines
     lower, checked = rde_core._lower, []
 
-    def checking(level, co, field):
-        out = lower(level, co, field)
+    def checking(level, co):
+        out = lower(level, co)
         rows, cols = np.nonzero(rde_core._rows(level)[:, :-1])
         assert (cols >= rows).all() and (cols <= rows + level[2]).all(), co
         checked.append(len(rows))
@@ -275,8 +275,8 @@ def test_level0_column_is_a_full_integration(monkeypatch, field):
     # c0_integrals of the level-0 space of the new degrees
     lower, made = rde_core._lower, []
 
-    def recording(level, co, field):
-        out = lower(level, co, field)
+    def recording(level, co):
+        out = lower(level, co)
         made.append(rde_core._rows(level))
         return out
 
