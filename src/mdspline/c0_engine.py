@@ -70,10 +70,14 @@ def c0_integrals(space: MDSpace, field=FLOAT) -> np.ndarray:
     return np.array(out, dtype=dtype_of(field))
 
 
-def _basis_window(s, t, first, degree, x, field):
-    """Values of the degree+1 B-splines of slots first .. first+degree (1-based):
-    knot tau_{span+1-j} is s[first+degree-j] and tau_{span+j} is t[first-2+j].
-    Knots are lifted into the field as read, and each level overwrites the last."""
+def _basis_window(s, t, first, degree, x, field, order=0):
+    """Order-th derivatives (values at order 0, at most the degree) of the
+    degree+1 B-splines of slots first .. first+degree (1-based): knot
+    tau_{span+1-j} is s[first+degree-j] and tau_{span+j} is t[first-2+j].
+    x and the knots are lifted into the field, and each level overwrites the
+    last: levels up to degree-order run the Cox-de Boor value recurrence, the
+    last `order` levels the B-spline derivative formula on the same knot sums."""
+    x = field(x)
     zero = field(0)
     vals = [field(1)] + [zero] * degree
     left = [zero] * (degree + 1)
@@ -82,63 +86,19 @@ def _basis_window(s, t, first, degree, x, field):
         left[j] = x - field(s[first + degree - j])
         right[j] = field(t[first - 2 + j]) - x
         saved = zero
-        for r in range(j):
-            rr, ll = right[r + 1], left[j - r]
-            temp = vals[r] / (rr + ll)
-            vals[r] = saved + rr * temp
-            saved = ll * temp
+        if j <= degree - order:
+            for r in range(j):
+                rr, ll = right[r + 1], left[j - r]
+                temp = vals[r] / (rr + ll)
+                vals[r] = saved + rr * temp
+                saved = ll * temp
+        else:
+            for r in range(j):
+                temp = j * vals[r] / (right[r + 1] + left[j - r])
+                vals[r] = saved - temp
+                saved = temp
         vals[j] = saved
     return vals
-
-
-def _ders_window(s, t, first, degree, x, order, field):
-    """Order-th derivative values of the window B-splines, with the knots of
-    `_basis_window` (one-sided at knots through the choice of first). Orders
-    above the degree are all zero."""
-    if order > degree:
-        return [field(0)] * (degree + 1)
-    ndu = [[field(0)] * (degree + 1) for _ in range(degree + 1)]
-    ndu[0][0] = field(1)
-    left = [field(0)] * (degree + 1)
-    right = [field(0)] * (degree + 1)
-    for j in range(1, degree + 1):
-        left[j] = x - field(s[first + degree - j])
-        right[j] = field(t[first - 2 + j]) - x
-        saved = field(0)
-        for r in range(j):
-            ndu[j][r] = right[r + 1] + left[j - r]
-            temp = ndu[r][j - 1] / ndu[j][r]
-            ndu[r][j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j][j] = saved
-    if order == 0:
-        return [ndu[r][degree] for r in range(degree + 1)]
-    out = [field(0)] * (degree + 1)
-    for r in range(degree + 1):
-        a = [[field(0)] * (order + 1) for _ in range(2)]
-        a[0][0] = field(1)
-        s1, s2 = 0, 1
-        dval = field(0)
-        for k in range(1, order + 1):
-            dval = field(0)
-            rk, pk = r - k, degree - k
-            if r >= k:
-                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
-                dval = a[s2][0] * ndu[rk][pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else degree - r
-            for j in range(j1, j2 + 1):
-                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
-                dval = dval + a[s2][j] * ndu[rk + j][pk]
-            if r <= pk:
-                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
-                dval = dval + a[s2][k] * ndu[r][pk]
-            s1, s2 = s2, s1
-        factor = field(1)
-        for k in range(degree, degree - order, -1):
-            factor = factor * k
-        out[r] = dval * factor
-    return out
 
 
 def eval_c0_basis(space: MDSpace, x, field=FLOAT, partitions=None) -> BasisValues:
@@ -156,9 +116,12 @@ def eval_c0_basis(space: MDSpace, x, field=FLOAT, partitions=None) -> BasisValue
 def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
                         partitions=None) -> BasisValues:
     """One-sided derivative values of the basis window at x; a left limit
-    belongs to the interval that ends at x, a right limit at b to the last."""
+    belongs to the interval that ends at x, a right limit at b to the last.
+    Orders above the degree are all zero."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
     s, t = partitions or evaluable_partitions(space)
     if side == "left":
         if not space.a < x <= space.b:
@@ -171,5 +134,6 @@ def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
     if degree < 0:
         return BasisValues(1, np.array([], dtype=dtype_of(field)), len(s))
     first = count - degree
-    vals = _ders_window(s, t, first, degree, x, order, field)
+    vals = ([field(0)] * (degree + 1) if order > degree
+            else _basis_window(s, t, first, degree, x, field, order))
     return BasisValues(first, np.array(vals, dtype=dtype_of(field)), len(s))

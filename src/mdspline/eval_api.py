@@ -33,10 +33,12 @@ def _band(bundle: Bundle) -> tuple[list[int], list[int], int, tuple]:
 
 def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
     """Window of basis values of the represented space at x; the rows meeting
-    reference columns c0..c1 are one run, found by bisecting the ordered band."""
-    field = field or bundle.field
+    reference columns c0..c1 are one run, found by bisecting the ordered band.
+    A `field` other than the bundle's raises ValueError."""
+    if field not in (None, bundle.field):
+        raise ValueError(f"field {field!r} is not the bundle's {bundle.field!r}")
     lo, hi, size, parts = _band(bundle)
-    ref_vals = eval_c0_basis(bundle.ref, x, field, parts)
+    ref_vals = eval_c0_basis(bundle.ref, x, bundle.field, parts)
     if len(ref_vals.values) == 0:
         return BasisValues(1, ref_vals.values, size)
     c0 = ref_vals.first - 1

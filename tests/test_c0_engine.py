@@ -118,6 +118,27 @@ def test_bernstein_derivatives():
     assert list(d3) == [0, 0, 0]
 
 
+def test_exact_windows_at_a_float_point_stay_exact():
+    # the kernel lifts x into the field: the exact window at a double is the
+    # one at its exact value, whatever the order
+    sp = MDSpace.create((0.0, 2.0), (1.0,), (3, 4), (0,))
+    for x in (0.3, 1.0, 1.7):
+        pairs = [(eval_c0_basis(sp, x, EXACT), eval_c0_basis(sp, F(x), EXACT))]
+        pairs += [(eval_c0_derivatives(sp, x, side, k, EXACT),
+                   eval_c0_derivatives(sp, F(x), side, k, EXACT))
+                  for side in ("left", "right") for k in range(5)]
+        for w, want in pairs:
+            assert all(type(v) is F for v in w.values)
+            assert w.first == want.first and list(w.values) == list(want.values)
+
+
+def test_negative_derivative_order_raises():
+    sp = MDSpace.create((0.0, 1.0), (), (3,), ())
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="order"):
+            eval_c0_derivatives(sp, 0.5, side, -1, FLOAT)
+
+
 def test_derivatives_match_finite_differences():
     sp = MDSpace.create((0.0, 2.0), (1.0,), (3, 4), (0,))
     parts = evaluable_partitions(sp)
@@ -311,7 +332,9 @@ def _runs(sp):
 ], ids=str)
 def test_windows_match_scipy_design_matrix(sp):
     # per equal-degree run, the window values are the nonzero entries of the
-    # run's row of scipy's B-spline design matrix on the run's clamped knots
+    # run's row of scipy's B-spline design matrix on the run's clamped knots,
+    # and the right-side derivative windows of orders 1 .. min(d, 3) those of
+    # scipy's derivatives of the run's B-splines, to 1e-12 of the row's largest
     xs, rng = sp.xs, np.random.default_rng(3)
     for j0, j1 in _runs(sp):
         d = sp.degrees[j0]
@@ -328,3 +351,12 @@ def test_windows_match_scipy_design_matrix(sp):
             want = row[w.first - first:w.last - first + 1]
             assert np.allclose(w.values, want, rtol=1e-12, atol=1e-14), (sp, x)
             assert np.count_nonzero(row) == np.count_nonzero(want)
+        splines = BSpline(np.array(knots), np.eye(rows.shape[1]), d)
+        for k in range(1, min(d, 3) + 1):
+            for x, row in zip(pts, splines(pts, nu=k)):
+                w = eval_c0_derivatives(sp, x, "right", k, FLOAT)
+                assert w.last - w.first == d
+                want = row[w.first - first:w.last - first + 1]
+                scale = np.abs(row).max()
+                assert np.abs(w.values - want).max() <= 1e-12 * scale, (sp, x, k)
+                assert np.count_nonzero(row) == np.count_nonzero(want)

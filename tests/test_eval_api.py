@@ -191,6 +191,24 @@ def test_eval_exact_field_on_float_bundle():
     assert sum(v.values) == 1
 
 
+def test_exact_bundle_at_a_float_point_stays_exact():
+    # Fraction(0.5) is exact, so a float point gives the exact basis at it
+    bundle = build_matrix(preset_space("test1"), RKI, EXACT)
+    at_float, at_fraction = eval_basis(bundle, 0.5), eval_basis(bundle, F(0.5))
+    assert all(type(v) is F for v in at_float.values)
+    assert at_float.first == at_fraction.first
+    assert list(at_float.values) == list(at_fraction.values)
+
+
+def test_eval_rejects_a_field_other_than_the_bundles():
+    sp = MDSpace.create((0.0, 2.0), (1.0,), (2, 2), (1,))
+    for field, other in ((FLOAT, EXACT), (EXACT, FLOAT)):
+        bundle = build_matrix_rki(sp, field)
+        assert eval_basis(bundle, 0.5, field).values.dtype == dtype_of(field)
+        with pytest.raises(ValueError, match="field"):
+            eval_basis(bundle, 0.5, other)
+
+
 def test_eval_rejects_a_split_row_band():
     # rows 1 and 3 meet the hats on [0, 1], row 2 lies on [1, 2] only
     ref = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,))
