@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalars import EXACT, FLOAT, dtype_of, zeros
+from ._scalars import FLOAT, dtype_of, field_of, zeros
 from .errors import SpaceValidationError
 from .spaces import MDSpace
 
@@ -37,7 +37,7 @@ class BasisValues:
         return self.first + len(self.values) - 1
 
     def scatter(self):
-        full = zeros(self.size, EXACT if self.values.dtype == object else FLOAT)
+        full = zeros(self.size, field_of(self.values))
         full[self.first - 1:self.first - 1 + len(self.values)] = self.values
         return full
 
@@ -101,31 +101,11 @@ def _basis_window(s, t, first, degree, x, field, order=0):
     return vals
 
 
-def eval_c0_basis(space: MDSpace, x, field=FLOAT, partitions=None) -> BasisValues:
-    """Nonzero basis window at x (half-open intervals, closed at b);
-    `partitions` are those of `evaluable_partitions(space)`."""
-    s, t = partitions or evaluable_partitions(space)
-    degree = space.degrees[space.find_interval(x)]
-    if degree < 0:
-        return BasisValues(1, np.array([], dtype=dtype_of(field)), len(s))
-    first = bisect_right(s, x) - degree
-    vals = _basis_window(s, t, first, degree, x, field)
-    return BasisValues(first, np.array(vals, dtype=dtype_of(field)), len(s))
-
-
-def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
-                        partitions=None) -> BasisValues:
-    """One-sided derivative values of the basis window at x; a left limit
-    belongs to the interval that ends at x, a right limit at b to the last.
-    Orders above the degree are all zero."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
+def _window(space: MDSpace, x, field, partitions, side="right", order=0) -> BasisValues:
+    """Order-th derivatives of the basis window at x on the interval to the
+    `side` of x; empty on a negative degree, all zero above the degree."""
     s, t = partitions or evaluable_partitions(space)
     if side == "left":
-        if not space.a < x <= space.b:
-            raise ValueError(f"no left limit at {x} in [{space.a}, {space.b}]")
         degree = space.degrees[bisect_left(space.breakpoints, x)]
         count = bisect_left(s, x)
     else:
@@ -137,3 +117,23 @@ def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
     vals = ([field(0)] * (degree + 1) if order > degree
             else _basis_window(s, t, first, degree, x, field, order))
     return BasisValues(first, np.array(vals, dtype=dtype_of(field)), len(s))
+
+
+def eval_c0_basis(space: MDSpace, x, field=FLOAT, partitions=None) -> BasisValues:
+    """Nonzero basis window at x (half-open intervals, closed at b);
+    `partitions` are those of `evaluable_partitions(space)`."""
+    return _window(space, x, field, partitions)
+
+
+def eval_c0_derivatives(space: MDSpace, x, side: str, order: int, field=FLOAT,
+                        partitions=None) -> BasisValues:
+    """One-sided derivative values of the basis window at x; a left limit
+    belongs to the interval that ends at x, a right limit at b to the last.
+    Orders above the degree are all zero."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+    if side == "left" and not space.a < x <= space.b:
+        raise ValueError(f"no left limit at {x} in [{space.a}, {space.b}]")
+    return _window(space, x, field, partitions, side, order)

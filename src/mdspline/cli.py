@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -34,10 +35,16 @@ def _load_space(args) -> MDSpace:
         return MDSpace.from_json(fh.read())
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", newline="")
-    return sys.stdout
+def _write(args, output) -> int:
+    """Send a computed output, a text or a list of CSV rows, to --out or to
+    stdout. Commands compute it whole first, so bad input writes nothing."""
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if isinstance(output, str):
+            print(output, file=out)
+        else:
+            csv.writer(out).writerows(output)
+    return 0
 
 
 def _route(method: str) -> str:
@@ -62,25 +69,12 @@ def cmd_validate(args) -> int:
         "extended_partition_right": list(t),
     }
     if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"space: {space}")
-        print(f"K={space.dimension}, K0={report['c0_dimension']}, "
-              f"sections={report['sections']}")
-        print(f"left partition:  {' '.join(_fmt(v) for v in s)}")
-        print(f"right partition: {' '.join(_fmt(v) for v in t)}")
-    return 0
-
-
-def _matrix_rows(bundle):
-    meta = {
-        "strategy": bundle.strategy,
-        "rows": int(bundle.matrix.shape[0]),
-        "cols": int(bundle.matrix.shape[1]),
-        "space": str(bundle.space),
-        "reference": str(bundle.orders[0].ref),
-    }
-    return meta, [[_fmt(v) for v in row] for row in bundle.matrix]
+        return _write(args, json.dumps(report, indent=2))
+    return _write(args, f"space: {space}\n"
+                        f"K={space.dimension}, K0={report['c0_dimension']}, "
+                        f"sections={report['sections']}\n"
+                        f"left partition:  {' '.join(_fmt(v) for v in s)}\n"
+                        f"right partition: {' '.join(_fmt(v) for v in t)}")
 
 
 def cmd_matrix(args) -> int:
@@ -88,28 +82,22 @@ def cmd_matrix(args) -> int:
         raise ValueError("--oracle needs --format json")
     space = _load_space(args)
     bundle = build_matrix(space, args.method)
-    meta, rows = _matrix_rows(bundle)
-    out = _open_out(args)
-    try:
-        if args.format == "json":
-            doc = dict(meta)
-            doc["matrix"] = [[float(v) for v in row] for row in rows]
-            if args.oracle:
-                exact = build_matrix(space, _exact_route(args.method), EXACT)
-                doc["matrix_exact"] = oracle.fraction_matrix_strings(exact.matrix)
-                doc["oracle_error"] = oracle.matrix_error(bundle.matrix, exact.matrix)
-            json.dump(doc, out, indent=2)
-            out.write("\n")
-        else:
-            w = csv.writer(out)
-            for key, val in meta.items():
-                w.writerow([f"# {key}", val])
-            for row in rows:
-                w.writerow(row)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    meta = {
+        "strategy": bundle.strategy,
+        "rows": int(bundle.matrix.shape[0]),
+        "cols": int(bundle.matrix.shape[1]),
+        "space": str(bundle.space),
+        "reference": str(bundle.orders[0].ref),
+    }
+    if args.format == "csv":
+        return _write(args, [[f"# {key}", val] for key, val in meta.items()]
+                      + [[_fmt(v) for v in row] for row in bundle.matrix])
+    doc = dict(meta, matrix=bundle.matrix.tolist())
+    if args.oracle:
+        exact = build_matrix(space, _exact_route(args.method), EXACT)
+        doc["matrix_exact"] = oracle.fraction_matrix_strings(exact.matrix)
+        doc["oracle_error"] = oracle.matrix_error(bundle.matrix, exact.matrix)
+    return _write(args, json.dumps(doc, indent=2))
 
 
 def _parse_points(args, space: MDSpace) -> list[float]:
@@ -127,7 +115,6 @@ def _parse_points(args, space: MDSpace) -> list[float]:
 
 
 def cmd_eval(args) -> int:
-    """Every row is computed before the output opens, so bad input writes nothing."""
     space = _load_space(args)
     points = _parse_points(args, space)
     coeffs = None
@@ -148,16 +135,10 @@ def cmd_eval(args) -> int:
         if coeffs is not None:
             row.append(_fmt(eval_spline(bundle, coeffs, x)))
         rows.append(row)
-    out = _open_out(args)
-    try:
-        csv.writer(out).writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    return _write(args, rows)
 
 
-def _experiment_values(name, methods, use_oracle, w):
+def _experiment_values(name, methods, use_oracle) -> list:
     """Tables of one highlighted function at the breakpoints."""
     space = preset_space(name)
     fn = HIGHLIGHT_FUNCTION[name]
@@ -166,7 +147,7 @@ def _experiment_values(name, methods, use_oracle, w):
     header = ["x"] + [f"value_{m}" for m in methods]
     if exact is not None:
         header += [f"abs_err_{m}" for m in methods] + [f"rel_err_{m}" for m in methods]
-    w.writerow(header)
+    rows = [header]
     for x in space.breakpoints:
         vals = {m: eval_basis(bundles[m], x).scatter()[fn - 1] for m in methods}
         row = [_fmt(x)] + [_fmt(vals[m]) for m in methods]
@@ -175,7 +156,8 @@ def _experiment_values(name, methods, use_oracle, w):
             errs = {m: oracle.value_error(vals[m], ev) for m in methods}
             row += [_fmt(errs[m][0]) for m in methods]
             row += [_fmt(errs[m][1]) for m in methods]
-        w.writerow(row)
+        rows.append(row)
+    return rows
 
 
 def _method_error(space, m) -> str:
@@ -184,19 +166,18 @@ def _method_error(space, m) -> str:
     return _fmt(oracle.matrix_error(bundle.matrix, exact.matrix))
 
 
-def _experiment_matrix(name, methods, w):
+def _experiment_matrix(name, methods) -> list:
     space = preset_space(name)
-    w.writerow(["method", "matrix_error"])
-    for m in methods:
-        w.writerow([m, _method_error(space, m)])
+    return [["method", "matrix_error"]] + [[m, _method_error(space, m)] for m in methods]
 
 
-def _experiment_table7(methods, w):
-    w.writerow(["k1", "dimension"] + [f"matrix_error_{m}" for m in methods])
+def _experiment_table7(methods) -> list:
+    rows = [["k1", "dimension"] + [f"matrix_error_{m}" for m in methods]]
     for k1 in TABLE7_RANGE[::2]:
         space = table7(k1)
-        w.writerow([k1, space.dimension] +
-                   [_method_error(space, m) for m in methods])
+        rows.append([k1, space.dimension] +
+                    [_method_error(space, m) for m in methods])
+    return rows
 
 
 def cmd_experiment(args) -> int:
@@ -206,22 +187,15 @@ def cmd_experiment(args) -> int:
     for m in methods:
         if _route(m) not in ROUTES:
             raise SpaceValidationError(f"unknown method {m!r}")
-    preset_space(args.preset)       # an unknown name fails before the output opens
-    out = _open_out(args)
-    try:
-        w = csv.writer(out)
-        if args.preset == "table7":
-            _experiment_table7(methods, w)
-        elif args.preset in HIGHLIGHT_FUNCTION:
-            _experiment_values(args.preset, methods, args.oracle, w)
-            if args.preset != "cox":
-                _experiment_matrix(args.preset, methods, w)
-        else:
-            _experiment_matrix(args.preset, methods, w)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
+    if args.preset == "table7":
+        rows = _experiment_table7(methods)
+    elif args.preset in HIGHLIGHT_FUNCTION:
+        rows = _experiment_values(args.preset, methods, args.oracle)
+        if args.preset != "cox":
+            rows += _experiment_matrix(args.preset, methods)
+    else:
+        rows = _experiment_matrix(args.preset, methods)
+    return _write(args, rows)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -274,8 +248,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:        # an OSError, so caught before the clause below
         return 0
-    except (SpaceValidationError, OSError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:     # str(KeyError) would quote the message
+    except (SpaceValidationError, OSError, KeyError, ValueError) as exc:
+        # str(KeyError) would quote the message
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
     except MDSplineError as exc:

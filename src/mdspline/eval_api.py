@@ -51,11 +51,13 @@ def eval_basis(bundle: Bundle, x, field=None) -> BasisValues:
 
 
 def eval_spline(bundle: Bundle, coefficients, x):
-    coefficients = np.asarray(coefficients, dtype=dtype_of(bundle.field))
+    """Spline value at x; only the window's coefficients are read, lifted into
+    the bundle's field."""
+    if len(coefficients) != len(bundle.matrix):
+        raise ValueError(f"expected {len(bundle.matrix)} coefficients")
     w = eval_basis(bundle, x)
-    if len(coefficients) != w.size:
-        raise ValueError(f"expected {w.size} coefficients")
-    return coefficients[w.first - 1:w.last].dot(w.values)
+    window = [bundle.field(c) for c in coefficients[w.first - 1:w.last]]
+    return np.array(window, dtype=dtype_of(bundle.field)).dot(w.values)
 
 
 def greville(bundle: Bundle) -> np.ndarray:
@@ -113,11 +115,11 @@ def insertion_weights(space: MDSpace, hat_space: MDSpace, index: int,
 def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
                        index: int, field=FLOAT) -> np.ndarray:
     """Coefficients of a spline of `space` re-expressed in `hat_space`, with
-    the weights of `insertion_weights`."""
-    ib, alphas = insertion_weights(space, hat_space, index, field)
-    coefficients = np.asarray(coefficients, dtype=dtype_of(field))
+    the weights of `insertion_weights`; the coefficients are lifted into `field`."""
     if len(coefficients) != space.dimension:
         raise ValueError(f"expected {space.dimension} coefficients")
+    ib, alphas = insertion_weights(space, hat_space, index, field)
+    coefficients = [field(c) for c in coefficients]
 
     ie = ib + len(alphas) - 1
     out = np.empty(hat_space.dimension, dtype=dtype_of(field))

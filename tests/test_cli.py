@@ -223,6 +223,31 @@ def test_matrix_out_file(capsys, tmp_path):
     assert text.count("\n") >= 21
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_validate_out_file(capsys, tmp_path, flags):
+    # the report goes to --out, in either format, and nothing to stdout
+    _, want, _ = run(capsys, "validate", "--preset", "test1", *flags)
+    out_path = tmp_path / "v.txt"
+    rc, out, _ = run(capsys, "validate", "--preset", "test1", *flags, "--out", str(out_path))
+    assert rc == 0 and out == ""
+    assert out_path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--preset", "test1", "--grid", "5", "--greville"],
+    ["eval", "--preset", "cox", "--points", "10.5,11.0"],
+    ["experiment", "--preset", "test1", "--oracle"],
+    ["experiment", "--preset", "table7", "--methods", "rki,rde"],
+    ["matrix", "--preset", "test1", "--method", "mixed", "--format", "json"],
+])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    _, want, _ = run(capsys, *argv)
+    out_path = tmp_path / "f.csv"
+    rc, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert rc == 0 and out == ""
+    assert out_path.read_bytes() == want.encode()
+
+
 def test_preset_listing_on_error(capsys):
     rc, _, err = run(capsys, "validate", "--preset", "nope")
     assert rc == 1 and "cox" in err

@@ -79,6 +79,19 @@ def test_eval_spline_constant_and_linear():
         assert eval_spline(bundle, xi, x) == pytest.approx(x, abs=1e-13)
 
 
+def test_exact_spline_lifts_float_coefficients():
+    # float coefficients enter the exact field before they meet exact values
+    bundle = build_matrix(preset_space("test1"), RKI, EXACT)
+    value = eval_spline(bundle, [1.0] * 9, F(1, 3))
+    assert value == 1 and isinstance(value, F)
+
+
+def test_eval_spline_checks_the_coefficient_count():
+    bundle = build_matrix_rki(preset_space("test1"), FLOAT)
+    with pytest.raises(ValueError, match="expected 9 coefficients"):
+        eval_spline(bundle, [1.0] * 8, 0.5)
+
+
 def test_greville_bernstein():
     cub = build_matrix_rki(MDSpace.create((0.0, 1.0), (), (3,), ()), EXACT)
     assert list(greville(cub)) == [0, F(1, 3), F(2, 3), 1]
@@ -147,6 +160,12 @@ def test_insertion_applies_the_checked_weights():
     for i, alpha in enumerate(alphas, ib):
         unit = np.array([F(int(n == i)) for n in range(1, sp.dimension + 1)], dtype=object)
         assert insert_knot_coeffs(sp, hat, unit, 1, EXACT)[i - 1] == alpha
+
+
+def test_exact_insertion_lifts_float_coefficients():
+    sp, hat = insertion_pair()
+    got = insert_knot_coeffs(sp, hat, [0.5] * sp.dimension, 1, EXACT)
+    assert got.dtype == object and all(isinstance(v, F) and v == F(1, 2) for v in got)
 
 
 def test_insert_knot_validates_relationship():

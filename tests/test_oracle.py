@@ -1,12 +1,15 @@
 """The rational replay and its three independent coefficient crosschecks."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError, build_matrix,
-                      build_matrix_rde, build_matrix_rki)
+                      build_matrix_rde, build_matrix_rki, legacy, oracle)
+from mdspline.assembler import RKI
+from mdspline.join_core import Trace
 from mdspline.oracle import (boehm_crosscheck, derivative_formula_crosscheck,
                              eval_exact, exact_bundle, fraction_matrix_strings,
                              greville_crosscheck, matrix_error, value_error)
@@ -93,6 +96,58 @@ def test_boehm_weights_conventional():
     assert boehm_crosscheck(sp, 2) == 2
     with pytest.raises(ValueError):
         boehm_crosscheck(worked_space(), 1)
+
+
+def test_abscissa_crosscheck_catches_a_changed_alpha():
+    trace = Trace()
+    build_matrix(worked_space(), RKI, EXACT, trace)
+    i, step = next((i, st) for i, st in enumerate(trace.steps)
+                   if st.kind == "join" and st.k > 0 and st.coefficients.alphas)
+    co = step.coefficients
+    alphas = (co.alphas[0] + F(1, 10 ** 9),) + co.alphas[1:]
+    trace.steps[i] = replace(step, coefficients=replace(co, alphas=alphas))
+    with pytest.raises(NumericalInconsistencyError, match="alpha_"):
+        oracle.abscissa_crosscheck(trace)
+
+
+def test_derivative_crosscheck_catches_a_different_matrix(monkeypatch):
+    real = legacy.alpha_via_derivatives
+
+    def perturbed(*args):
+        co = real(*args)
+        return replace(co, alphas=(co.alphas[0] + F(1, 10 ** 9),) + co.alphas[1:])
+    monkeypatch.setattr(legacy, "alpha_via_derivatives", perturbed)
+    with pytest.raises(NumericalInconsistencyError, match="final matrix"):
+        derivative_formula_crosscheck(worked_space())
+
+
+def test_derivative_crosscheck_catches_a_different_coefficient(monkeypatch):
+    # the stable route's matrix stays right, one recorded coefficient does not
+    real = oracle.build_matrix
+
+    def perturbed(space, route, field, trace):
+        bundle = real(space, route, field, trace)
+        for i, step in enumerate(trace.steps):
+            co = step.coefficients
+            if route == RKI and co.alphas:
+                alphas = (co.alphas[0] + F(1, 10 ** 9),) + co.alphas[1:]
+                trace.steps[i] = replace(step, coefficients=replace(co, alphas=alphas))
+        return bundle
+    monkeypatch.setattr(oracle, "build_matrix", perturbed)
+    with pytest.raises(NumericalInconsistencyError, match="routes disagree at seam"):
+        derivative_formula_crosscheck(worked_space())
+
+
+def test_boehm_crosscheck_catches_a_changed_weight(monkeypatch):
+    real = oracle.insertion_weights
+
+    def perturbed(*args):
+        ib, weights = real(*args)
+        return ib, [weights[0] + F(1, 10 ** 9)] + weights[1:]
+    monkeypatch.setattr(oracle, "insertion_weights", perturbed)
+    sp = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 3, 3), (2, 2))
+    with pytest.raises(NumericalInconsistencyError, match="weight"):
+        boehm_crosscheck(sp, 1)
 
 
 def test_fraction_strings():

@@ -26,3 +26,25 @@ def test_kernels_read_the_field_from_their_inputs():
               and "field" in [a.arg for a in node.args.posonlyargs + node.args.args
                               + node.args.kwonlyargs]}
     assert takers == makers
+
+
+def test_cli_output_goes_through_one_writer():
+    # only `_write` names sys.stdout, and every print names its stream
+    tree = ast.parse((SRC / "cli.py").read_text())
+    named = {getattr(top, "name", "<module>") for top in tree.body
+             for sub in ast.walk(top)
+             if isinstance(sub, ast.Attribute) and sub.attr == "stdout"
+             and isinstance(sub.value, ast.Name) and sub.value.id == "sys"}
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert named == {"_write"}
+    assert prints and all("file" in [k.arg for k in node.keywords] for node in prints)
+
+
+def test_numbers_from_callers_are_lifted_by_the_field():
+    # np.asarray would keep float coefficients as floats in an exact run
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "asarray"]
+    assert found == []
