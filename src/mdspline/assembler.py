@@ -106,13 +106,13 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
     blocks = []
     for lo, hi in groups:
         need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
-        if lo == hi:      # on the derivative route, joins read order 0 only
-            section = dec.sections[lo]
-            top = 1 if need and route == DERIVATIVE else max(need, default=section.degrees[0])
-            blocks.append(section_bundle(section, field, top))
+        # a C^r seam reads orders 0..r (a legacy join 0 only), the abscissae 1
+        top = 1 if route == DERIVATIVE else max(need, default=1)
+        if lo == hi:
+            blocks.append(section_bundle(dec.sections[lo], field, top))
             continue
         sub = space.restrict(dec.boundaries[lo], dec.boundaries[hi + 1])
-        blocks.append(rde_build(sub, field, max(need, default=1), trace))
+        blocks.append(rde_build(sub, field, top, trace))
     join = legacy_join if route == DERIVATIVE else cr_join
     seams = {dec.joins[hi] for _, hi in groups[:-1]}
     for jn in (jn for jn in dec.join_order if jn in seams):

@@ -127,7 +127,8 @@ def cmd_eval(args) -> int:
         if bad:
             raise ValueError(f"coefficients {bad} are not finite")
     bundle = build_matrix(space, args.method)
-    rows = [["greville"] + [_fmt(v) for v in greville(bundle)]] if args.greville else []
+    rows = [["greville"] + [_fmt(v) for v in greville(   # legacy joins keep order 0 only
+        bundle if 1 in bundle.orders else build_matrix(space, RKI))]] if args.greville else []
     rows.append(["x"] + [f"N_{i}" for i in range(1, space.dimension + 1)]
                 + ([] if coeffs is None else ["spline"]))
     for x in points:

@@ -83,25 +83,19 @@ def greville(bundle: Bundle) -> np.ndarray:
     return out
 
 
-def insertion_weights(space: MDSpace, hat_space: MDSpace, index: int,
-                      field=FLOAT) -> tuple[int, list]:
-    """First index ib and weights alpha_ib, .., alpha_kl of the insertion that
-    takes `space` to `hat_space`, which must equal `space` with the continuity
-    at breakpoint `index` lowered by 1; kl is the dimension of `space` over
+def insertion_weights(space: MDSpace, index: int, field=FLOAT) -> tuple[MDSpace, int, list]:
+    """The refined space, `space` with the continuity at breakpoint `index`
+    lowered by 1, and the first index ib and weights alpha_ib, .., alpha_kl of
+    the insertion that takes `space` to it; kl is the dimension of `space` over
     [a, x_index]. The weights come from the two abscissae vectors."""
     from .assembler import build_matrix_rki
 
     if not 1 <= index <= space.q:
         raise ValueError(f"breakpoint index {index} outside 1..{space.q}")
-    exp = list(space.continuities)
-    exp[index - 1] -= 1
-    if (hat_space.degrees != space.degrees
-            or tuple(exp) != hat_space.continuities
-            or (hat_space.a, hat_space.b, hat_space.breakpoints)
-            != (space.a, space.b, space.breakpoints)):
-        raise ValueError("hat space is not a single-insertion refinement")
+    refined = MDSpace.create((space.a, space.b), space.breakpoints, space.degrees,
+                             [k - (i == index) for i, k in enumerate(space.continuities, 1)])
     xi = greville(build_matrix_rki(space, field))
-    xi_hat = greville(build_matrix_rki(hat_space, field))
+    xi_hat = greville(build_matrix_rki(refined, field))
     kl = space.restrict(0, index).dimension
     ib = kl - space.continuities[index - 1] + 1
     alphas = []
@@ -109,22 +103,22 @@ def insertion_weights(space: MDSpace, hat_space: MDSpace, index: int,
         alphas.append((xi_hat[i - 1] - xi[i - 2]) / (xi[i - 1] - xi[i - 2]))
         if not 0 < alphas[-1] <= 1:
             raise NumericalInconsistencyError(f"insertion weight {alphas[-1]!r} out of range")
-    return ib, alphas
+    return refined, ib, alphas
 
 
-def insert_knot_coeffs(space: MDSpace, hat_space: MDSpace, coefficients,
-                       index: int, field=FLOAT) -> np.ndarray:
-    """Coefficients of a spline of `space` re-expressed in `hat_space`, with
-    the weights of `insertion_weights`; the coefficients are lifted into `field`."""
+def insert_knot_coeffs(space: MDSpace, coefficients, index: int,
+                       field=FLOAT) -> tuple[MDSpace, np.ndarray]:
+    """The refined space of `insertion_weights` and the coefficients of a
+    spline of `space` re-expressed in it, lifted into `field`."""
     if len(coefficients) != space.dimension:
         raise ValueError(f"expected {space.dimension} coefficients")
-    ib, alphas = insertion_weights(space, hat_space, index, field)
+    refined, ib, alphas = insertion_weights(space, index, field)
     coefficients = [field(c) for c in coefficients]
 
     ie = ib + len(alphas) - 1
-    out = np.empty(hat_space.dimension, dtype=dtype_of(field))
+    out = np.empty(refined.dimension, dtype=dtype_of(field))
     out[:ib - 1] = coefficients[:ib - 1]
     for i, alpha in enumerate(alphas, ib):
         out[i - 1] = alpha * coefficients[i - 1] + (1 - alpha) * coefficients[i - 2]
     out[ie:] = coefficients[ie - 1:]
-    return out
+    return refined, out

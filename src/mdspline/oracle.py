@@ -134,11 +134,7 @@ def boehm_crosscheck(space: MDSpace, index: int) -> int:
     xj = Fraction(space.xs[index])
     s, _ = space.extended_partitions()
     s = [Fraction(v) for v in s] + [Fraction(space.b)] * (d + 1)
-
-    hat = MDSpace.create((space.a, space.b), space.breakpoints, space.degrees,
-                         tuple(k - (1 if i + 1 == index else 0)
-                               for i, k in enumerate(space.continuities)))
-    ib, weights = insertion_weights(space, hat, index, EXACT)
+    _, ib, weights = insertion_weights(space, index, EXACT)
     for i, via_abscissae in enumerate(weights, ib):
         classical = (xj - s[i - 1]) / (s[i + d - 1] - s[i - 1])
         if via_abscissae != classical:

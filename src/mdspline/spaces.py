@@ -212,6 +212,10 @@ class MDSpace:
 
     @staticmethod
     def from_dict(data: dict) -> "MDSpace":
+        keys = {"interval", "breakpoints", "degrees", "continuities"}
+        unknown = [k for k in data if k not in keys] if isinstance(data, dict) else []
+        if unknown:
+            raise SpaceValidationError(f"unknown keys in space description: {unknown}")
         try:
             return MDSpace.create(data["interval"], data.get("breakpoints", []),
                                   data["degrees"], data.get("continuities", []))

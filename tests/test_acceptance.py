@@ -223,14 +223,10 @@ def test_criterion_6_property_suite():
         seams = [i for i, k in enumerate(space.continuities, start=1) if k >= 1]
         if seams:
             i = seams[0]
-            lowered = tuple(k - (n == i) for n, k in
-                            enumerate(space.continuities, start=1))
-            hat = MDSpace.create((space.a, space.b), space.breakpoints,
-                                 space.degrees, lowered)
-            hat_bundle = build_matrix(hat, "rki")
             rng = np.random.default_rng(space.dimension)
             coeffs = rng.uniform(-1.0, 1.0, space.dimension)
-            hat_coeffs = insert_knot_coeffs(space, hat, coeffs, i, FLOAT)
+            hat, hat_coeffs = insert_knot_coeffs(space, coeffs, i, FLOAT)
+            hat_bundle = build_matrix(hat, "rki")
             for x in np.linspace(space.a, space.b, 31):
                 f = eval_spline(bundle, coeffs, x)
                 g = eval_spline(hat_bundle, hat_coeffs, x)

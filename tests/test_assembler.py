@@ -183,7 +183,17 @@ def test_one_section_rde_is_the_section_bundle():
     bundle = build_matrix_rde(sp, FLOAT)
     assert bundle.strategy == "rde" and bundle.alpha_count == 0
     assert np.array_equal(bundle.matrix, np.eye(sp.dimension))
-    assert set(bundle.orders) == {0, 1, 2, 3}
+    assert set(bundle.orders) == {0, 1}
+
+
+def test_a_seamless_build_carries_orders_0_and_1():
+    # no seam reads order 2 or more and the abscissae read order 1, so a
+    # degree-300 interval integrates two derivative orders, not 301
+    sp = MDSpace.create((0.0, 1.0), (), (300,), ())
+    for route in ("rki", "rde", "mixed", "derivative"):
+        bundle = build_matrix(sp, route, FLOAT)
+        assert set(bundle.orders) == {0, 1}, route
+        assert np.array_equal(bundle.matrix, np.eye(301))
 
 
 def test_rde_rejects_degree_zero_sections():

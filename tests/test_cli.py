@@ -83,6 +83,14 @@ def test_bad_space_file_is_an_input_error(capsys, tmp_path, doc, command):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["matrix"], ["eval", "--grid", "3"]])
+def test_unknown_key_in_a_space_file_is_an_input_error(capsys, tmp_path, command):
+    path = space_file(tmp_path, {"interval": [0.0, 3.0], "degrees": [3], "continuity": [2]})
+    rc, out, err = run(capsys, *command, "--space", path)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "continuity" in err and "Traceback" not in err
+
+
 def test_integral_float_degrees_accepted(capsys, tmp_path):
     path = space_file(tmp_path, {"interval": [0.0, 2.0], "breakpoints": [1.0],
                                  "degrees": [3.0, 3], "continuities": [2.0]})
@@ -137,6 +145,21 @@ def test_eval_grid_with_coeffs_and_abscissae(capsys, tmp_path):
         vals = [float(v) for v in row]
         assert sum(vals[1:5]) == pytest.approx(1.0, abs=1e-14)
         assert vals[5] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_eval_abscissae_on_every_route(capsys, tmp_path):
+    # the abscissae depend on the space only; the derivative route's joins keep
+    # order 0, so its abscissae come from the rki build
+    path = space_file(tmp_path, {"interval": [0.0, 3.0], "breakpoints": [1.0, 2.0],
+                                 "degrees": [3, 2, 3], "continuities": [2, 1]})
+    rows = {}
+    for route in ("rki", "rde", "mixed", "derivative"):
+        rc, out, err = run(capsys, "eval", "--space", path, "--grid", "3",
+                           "--method", route, "--greville")
+        assert rc == 0 and err == "", route
+        rows[route] = next(csv.reader(io.StringIO(out)))
+    assert rows["rki"][0] == "greville" and len(rows["rki"]) == 7
+    assert all(row == rows["rki"] for row in rows.values())
 
 
 def test_eval_explicit_points(capsys):

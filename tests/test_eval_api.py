@@ -12,8 +12,8 @@ import pytest
 
 from conftest import random_space
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
-                      UnsupportedSpaceError, build_matrix_rki, eval_basis,
-                      eval_spline, greville, insert_knot_coeffs)
+                      SpaceValidationError, UnsupportedSpaceError, build_matrix_rki,
+                      eval_basis, eval_spline, greville, insert_knot_coeffs)
 from mdspline._scalars import dtype_of
 from mdspline.assembler import DERIVATIVE, MIXED, RDE, RKI, build_matrix
 from mdspline.c0_engine import eval_c0_basis
@@ -137,7 +137,8 @@ def test_insert_knot_round_trip():
     bh = build_matrix_rki(hat, FLOAT)
     rng = np.random.default_rng(7)
     coeffs = rng.uniform(-1, 1, sp.dimension)
-    ch = insert_knot_coeffs(sp, hat, coeffs, 1, FLOAT)
+    refined, ch = insert_knot_coeffs(sp, coeffs, 1, FLOAT)
+    assert refined == hat
     for x in np.linspace(0.0, 3.0, 31):
         assert eval_spline(bh, ch, x) == pytest.approx(
             eval_spline(b, coeffs, x), abs=1e-13)
@@ -147,7 +148,7 @@ def test_insert_knot_preserves_abscissae():
     sp, hat = insertion_pair()
     xi = greville(build_matrix_rki(sp, EXACT))
     xi_hat = greville(build_matrix_rki(hat, EXACT))
-    got = insert_knot_coeffs(sp, hat, xi, 1, EXACT)
+    _, got = insert_knot_coeffs(sp, xi, 1, EXACT)
     assert list(got) == list(xi_hat)
 
 
@@ -155,45 +156,44 @@ def test_insertion_applies_the_checked_weights():
     # the weights oracle.boehm_crosscheck compares with the classical ones are
     # those insert_knot_coeffs applies: a unit coefficient at i gives alpha_i
     sp, hat = insertion_pair()
-    ib, alphas = insertion_weights(sp, hat, 1, EXACT)
+    refined, ib, alphas = insertion_weights(sp, 1, EXACT)
+    assert refined == hat
     assert (ib, len(alphas)) == (3, 2) and all(0 < a < 1 for a in alphas)
     for i, alpha in enumerate(alphas, ib):
         unit = np.array([F(int(n == i)) for n in range(1, sp.dimension + 1)], dtype=object)
-        assert insert_knot_coeffs(sp, hat, unit, 1, EXACT)[i - 1] == alpha
+        assert insert_knot_coeffs(sp, unit, 1, EXACT)[1][i - 1] == alpha
+
+
+def test_insertion_derives_the_refined_space():
+    # the continuity at the index drops by one, on the space's own interval
+    sp = MDSpace.create((0.5, 4.0), (1.0, 2.0, 3.0), (3, 2, 3, 3), (2, 1, 2))
+    for index, lowered in ((1, (1, 1, 2)), (2, (2, 0, 2)), (3, (2, 1, 1))):
+        refined, _, _ = insertion_weights(sp, index, FLOAT)
+        assert refined == MDSpace.create((0.5, 4.0), (1.0, 2.0, 3.0), (3, 2, 3, 3), lowered)
+    # a continuity-0 breakpoint has no refinement
+    c0 = MDSpace.create((0.0, 2.0), (1.0,), (2, 2), (0,))
+    with pytest.raises(SpaceValidationError, match="continuity -1"):
+        insertion_weights(c0, 1, FLOAT)
 
 
 def test_exact_insertion_lifts_float_coefficients():
-    sp, hat = insertion_pair()
-    got = insert_knot_coeffs(sp, hat, [0.5] * sp.dimension, 1, EXACT)
+    sp, _ = insertion_pair()
+    _, got = insert_knot_coeffs(sp, [0.5] * sp.dimension, 1, EXACT)
     assert got.dtype == object and all(isinstance(v, F) and v == F(1, 2) for v in got)
 
 
 def test_insert_knot_validates_relationship():
-    sp, hat = insertion_pair()
-    with pytest.raises(ValueError):
-        insert_knot_coeffs(sp, hat, np.zeros(sp.dimension), 2, FLOAT)
-    with pytest.raises(ValueError):
-        insert_knot_coeffs(sp, sp, np.zeros(sp.dimension), 1, FLOAT)
-    with pytest.raises(ValueError):
-        insert_knot_coeffs(sp, hat, np.zeros(sp.dimension + 1), 1, FLOAT)
-
-
-def test_insert_knot_rejects_a_hat_space_on_another_interval():
-    # same breakpoints, degrees and lowered continuity, but the abscissae of
-    # [0.5, 3.5] would give other weights
-    sp = MDSpace.create((0.0, 4.0), (1.0, 2.0, 3.0), (3, 2, 3, 3), (2, 1, 2))
-    hat = MDSpace.create((0.5, 3.5), (1.0, 2.0, 3.0), (3, 2, 3, 3), (1, 1, 2))
-    with pytest.raises(ValueError, match="single-insertion refinement"):
-        insert_knot_coeffs(sp, hat, np.zeros(sp.dimension), 1, FLOAT)
+    # the refined space is derived, so only the coefficient count can mismatch
+    sp, _ = insertion_pair()
+    with pytest.raises(ValueError, match="expected 6 coefficients"):
+        insert_knot_coeffs(sp, np.zeros(sp.dimension + 1), 1, FLOAT)
 
 
 def test_insert_knot_index_outside_the_breakpoints():
-    # each hat space matches the continuity list that the index would wrap to
-    sp, hat = insertion_pair()
-    last = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 2, 3), (2, 0))
-    for index, h in ((0, last), (-1, hat), (sp.q + 1, hat)):
+    sp, _ = insertion_pair()
+    for index in (0, -1, sp.q + 1):
         with pytest.raises(ValueError, match="outside 1..2"):
-            insert_knot_coeffs(sp, h, np.zeros(sp.dimension), index, FLOAT)
+            insert_knot_coeffs(sp, np.zeros(sp.dimension), index, FLOAT)
 
 
 def test_eval_outside_domain_raises():

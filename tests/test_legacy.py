@@ -40,9 +40,9 @@ def test_exact_replay_equals_stable(sp):
 
 
 def test_derivative_route_reads_only_what_it_uses(monkeypatch):
-    # a section of a multi-section space integrates orders 0 and 1 only, and
-    # each jump step evaluates its two one-sided seam windows once; the
-    # matrices are the stable ones exactly and the order keys are unchanged
+    # every section integrates orders 0 and 1 only, and each jump step
+    # evaluates its two one-sided seam windows once; the matrices are the
+    # stable ones exactly, and the joins keep order 0 only
     integrated, windows = [], []
     c0_integrals, derivatives = join_core.c0_integrals, legacy.eval_c0_derivatives
     monkeypatch.setattr(join_core, "c0_integrals",
@@ -56,8 +56,8 @@ def test_derivative_route_reads_only_what_it_uses(monkeypatch):
         trace = Trace()
         bundle = build_matrix_derivative(sp, EXACT, trace=trace)
         n = len(sp.section_decomposition().sections)
-        assert len(integrated) == (2 * n if n > 1 else max(sp.degrees) + 1), sp
-        assert set(bundle.orders) == ({0} if n > 1 else set(range(max(sp.degrees) + 1)))
+        assert len(integrated) == 2 * n, sp
+        assert set(bundle.orders) == ({0} if n > 1 else {0, 1})
         assert windows == ["left", "right"] * len(trace.steps), sp
         with monkeypatch.context() as m:
             m.setattr(join_core, "c0_integrals", c0_integrals)

@@ -142,8 +142,8 @@ def test_boehm_crosscheck_catches_a_changed_weight(monkeypatch):
     real = oracle.insertion_weights
 
     def perturbed(*args):
-        ib, weights = real(*args)
-        return ib, [weights[0] + F(1, 10 ** 9)] + weights[1:]
+        refined, ib, weights = real(*args)
+        return refined, ib, [weights[0] + F(1, 10 ** 9)] + weights[1:]
     monkeypatch.setattr(oracle, "insertion_weights", perturbed)
     sp = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 3, 3), (2, 2))
     with pytest.raises(NumericalInconsistencyError, match="weight"):

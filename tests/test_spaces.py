@@ -202,6 +202,28 @@ def test_malformed_json():
         MDSpace.from_dict({"interval": [0, 1]})
 
 
+@pytest.mark.parametrize("doc", [
+    # a misspelt key is not dropped, which would read this as a degree-3 interval
+    {"interval": [0.0, 3.0], "degrees": [3], "continuity": [2]},
+    {"interval": [0.0, 2.0], "breakpoints": [1.0], "degrees": [2, 2],
+     "continuities": [1], "comment": "C1 quadratic"},
+])
+def test_unknown_keys_rejected(doc):
+    with pytest.raises(SpaceValidationError, match="unknown keys"):
+        MDSpace.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[0.0, 3.0], "interval", 3, None])
+def test_a_document_that_is_not_an_object_is_malformed(doc):
+    with pytest.raises(SpaceValidationError, match="malformed space description"):
+        MDSpace.from_dict(doc)
+
+
+def test_absent_breakpoints_and_continuities_are_empty():
+    sp = MDSpace.from_dict({"interval": [0.0, 3.0], "degrees": [3]})
+    assert sp.breakpoints == () and sp.continuities == ()
+
+
 @settings(max_examples=25, deadline=None)
 @given(space_strategy())
 def test_partition_lengths_and_supports(sp):
