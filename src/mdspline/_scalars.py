@@ -3,7 +3,8 @@
 Every numerical kernel in this package is written against a generic scalar
 field so the same code runs in float64 (production) and in exact rational
 arithmetic (the built-in oracle). A field is identified by the callable used
-to convert plain Python numbers: ``float`` or ``fractions.Fraction``. Only the
+to convert plain Python numbers: ``float`` or ``fractions.Fraction``, no other
+(`int` would truncate the breakpoints, `np.float32` round them). Only the
 functions that make scalars from a space or from plain numbers take a field;
 the rest read it from the arrays (`field_of`) or bundles they are given.
 Fraction(float) is exact, so converting the stored double-precision
@@ -25,7 +26,11 @@ def is_exact(field) -> bool:
 
 
 def dtype_of(field):
-    return object if field is Fraction else np.float64
+    if field is FLOAT:
+        return np.float64
+    if field is Fraction:
+        return object
+    raise ValueError(f"field must be FLOAT or EXACT, not {field!r}")
 
 
 def field_of(array: np.ndarray):

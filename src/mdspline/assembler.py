@@ -1,9 +1,9 @@
 """The one assembler behind every route to a full-space representation.
 
-A route only chooses a plan: a partition of the maximal equal-degree sections
-into contiguous groups. "rki" and "derivative" keep every section on its own,
-"rde" puts all of them into one group, and "mixed" takes its groups from a
-per-section plan, by default the cheapest by `auto_plan`'s dynamic program. A
+A build is fixed by its space, its route and its field. A route only chooses a
+partition of the maximal equal-degree sections into contiguous groups: "rki"
+and "derivative" keep every section on its own, "rde" puts all of them into
+one group, and "mixed" takes the groups of `auto_plan`'s cheapest plan. A
 one-section group is a section bundle; a longer one is embedded in the uniform
 cover of its maximum degree by one degree-lowering sweep. The blocks are then
 joined pairwise at the seams between groups, highest continuity first, by
@@ -14,7 +14,7 @@ section, the reference is checked against the space's continuity-zero shadow.
 from __future__ import annotations
 
 from ._scalars import FLOAT
-from .errors import NumericalInconsistencyError, UnsupportedSpaceError
+from .errors import NumericalInconsistencyError
 from .join_core import Bundle, Trace, cr_join, section_bundle
 from .legacy import legacy_join
 from .rde_core import rde_build
@@ -73,24 +73,15 @@ def auto_plan(space: MDSpace) -> list[str]:
     return plan
 
 
-def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:
+def _groups(space: MDSpace, n: int, route: str) -> list[tuple[int, int]]:
     """Contiguous section groups (lo, hi) that `route` builds as one block each."""
-    if plan is not None and route != MIXED:
-        raise ValueError(f"only the '{MIXED}' route takes a plan, not {route!r}")
     if route in (RKI, DERIVATIVE):
         return [(i, i) for i in range(n)]
     if route == RDE:
-        if min(space.degrees) < 1:
-            raise UnsupportedSpaceError(
-                "degree lowering needs every interval degree to be at least 1")
         return [(0, n - 1)]
     if route != MIXED:
         raise ValueError(f"unknown route {route!r}")
-    if plan is None:
-        plan = auto_plan(space)
-    if len(plan) != n or any(p not in (RKI, RDE) for p in plan):
-        raise ValueError(f"plan must assign '{RKI}' or '{RDE}' to each of {n} sections")
-    groups, lo = [], 0
+    plan, groups, lo = auto_plan(space), [], 0
     for i in range(1, n + 1):
         if i == n or plan[i] != plan[lo] or plan[lo] == RKI:
             groups.append((lo, i - 1))
@@ -99,10 +90,10 @@ def _groups(space: MDSpace, n: int, route: str, plan) -> list[tuple[int, int]]:
 
 
 def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
-                 trace: Trace | None = None, plan=None) -> Bundle:
-    """Bundle of `space` built by `route`; `plan` labels each section for "mixed"."""
+                 trace: Trace | None = None) -> Bundle:
+    """Bundle of `space` built by `route` over `field`, `FLOAT` or `EXACT`."""
     dec = space.section_decomposition()
-    groups = _groups(space, len(dec.sections), route, plan)
+    groups = _groups(space, len(dec.sections), route)
     blocks = []
     for lo, hi in groups:
         need = [dec.joins[i].continuity for i in (lo - 1, hi) if 0 <= i < len(dec.joins)]
@@ -139,9 +130,8 @@ def build_matrix_rde(space: MDSpace, field=FLOAT, trace: Trace | None = None) ->
     return build_matrix(space, RDE, field, trace)
 
 
-def build_matrix_mixed(space: MDSpace, field=FLOAT, plan: list[str] | None = None,
-                       trace: Trace | None = None) -> Bundle:
-    return build_matrix(space, MIXED, field, trace, plan)
+def build_matrix_mixed(space: MDSpace, field=FLOAT, trace: Trace | None = None) -> Bundle:
+    return build_matrix(space, MIXED, field, trace)
 
 
 def build_matrix_derivative(space: MDSpace, field=FLOAT,

@@ -244,7 +244,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:      # argparse exits 2 on bad usage, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except BrokenPipeError:        # an OSError, so caught before the clause below

@@ -4,7 +4,7 @@ The stable construction never subtracts; this older formulation obtains each
 continuity-raising coefficient from one-sided derivative jumps of the current
 basis at the seam, which cancel catastrophically as the derivative order
 grows. `legacy_join` has the signature of `cr_join`, so the one assembler runs
-it as the "derivative" route on the same plan, and both routes can be run on
+it as the "derivative" route on the same groups, and both routes can be run on
 identical spaces and their algorithmic errors compared.
 """
 

@@ -24,8 +24,8 @@ from .join_core import Bundle, Trace, apply_bidiagonal
 from .spaces import MDSpace
 
 
-def exact_bundle(space: MDSpace, builder=build_matrix_rki, **kwargs) -> Bundle:
-    return builder(space, EXACT, **kwargs)
+def exact_bundle(space: MDSpace, builder=build_matrix_rki) -> Bundle:
+    return builder(space, EXACT)
 
 
 def matrix_error(computed: np.ndarray, exact: np.ndarray) -> float:

@@ -2,10 +2,10 @@
 
 A space is described by an interval [a, b], interior breakpoints
 x_1 < ... < x_q, one degree per interval (q+1 of them) and one continuity
-order per breakpoint. Public spaces require 0 <= k_i <= min(d_{i-1}, d_i);
-internal spaces (derivative spaces and intermediate construction spaces) may
-carry negative degrees and continuities, which are kept raw because the
-dimension bookkeeping uses them verbatim.
+order per breakpoint. Public spaces, the only kind `MDSpace.create` makes,
+require 0 <= k_i <= min(d_{i-1}, d_i); internal spaces (derivative and
+intermediate construction spaces) may carry negative degrees and continuities,
+kept raw because the dimension bookkeeping uses them verbatim.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ class MDSpace:
 
     @staticmethod
     def create(interval: Sequence[float], breakpoints: Sequence[float],
-               degrees: Sequence[int], continuities: Sequence[int],
-               internal: bool = False) -> "MDSpace":
+               degrees: Sequence[int], continuities: Sequence[int]) -> "MDSpace":
         space = MDSpace(*_numbers(interval, "interval", 2),
                         _numbers(breakpoints, "breakpoints"),
                         _integers(degrees, "degrees"),
-                        _integers(continuities, "continuities"),
-                        internal)
+                        _integers(continuities, "continuities"))
         space.validate()
         return space
 
@@ -119,10 +117,6 @@ class MDSpace:
     @property
     def dimension(self) -> int:
         return _dimension(self.degrees, self.continuities)
-
-    def zero_intervals(self) -> tuple[int, ...]:
-        """Intervals on which the space contains only the zero function."""
-        return tuple(j for j, d in enumerate(self.degrees) if d < 0)
 
     def find_interval(self, x: float) -> int:
         """Index j with x_j <= x < x_{j+1}; the last interval is closed at b."""
@@ -221,9 +215,6 @@ class MDSpace:
                                   data["degrees"], data.get("continuities", []))
         except (KeyError, TypeError, IndexError) as exc:
             raise SpaceValidationError(f"malformed space description: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "MDSpace":

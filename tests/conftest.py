@@ -28,6 +28,13 @@ def random_space(seed: int, max_breakpoints: int = 8, max_degree: int = 12) -> M
                           tuple(float(v) for v in knots[1:-1]), degrees, conts)
 
 
+def internal_space(interval, breakpoints, degrees, continuities) -> MDSpace:
+    """A checked internal space, whose raw orders may be negative."""
+    space = MDSpace(*interval, breakpoints, degrees, continuities, internal=True)
+    space.validate()
+    return space
+
+
 def join_levels(trace):
     """(n, k) -> (level matrix, reference integrals) made by each join cell
     of a trace."""

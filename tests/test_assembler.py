@@ -14,7 +14,8 @@ from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build
                       build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
                       build_matrix_rki, eval_basis)
 from conftest import random_space
-from mdspline.assembler import _groups, auto_plan, join_cost, rde_cost
+from mdspline.assembler import auto_plan, join_cost, rde_cost
+from mdspline.c0_engine import eval_c0_basis
 from mdspline.presets import PRESETS, table7
 
 
@@ -102,12 +103,23 @@ def test_auto_plan_prefers_cheaper_route():
     assert auto_plan(MDSpace.create((0.0, 1.0), (), (3,), ())) == ["rki"]
 
 
+def label_groups(plan):
+    """Section groups (lo, hi) of a label plan: each "rki" section on its own,
+    each run of "rde" sections one group."""
+    groups, lo = [], 0
+    for i in range(1, len(plan) + 1):
+        if i == len(plan) or plan[i] != plan[lo] or plan[lo] == "rki":
+            groups.append((lo, i - 1))
+            lo = i
+    return groups
+
+
 def modelled_cost(space, dec, plan):
     """Coefficient count the cost model gives a label plan: `rde_cost` per
     sweep plus `join_cost` per seam between groups; infinite when a sweep
     spans a degree-0 interval."""
     b = dec.boundaries
-    groups = _groups(space, len(dec.sections), "mixed", plan)
+    groups = label_groups(plan)
     if any(lo < hi and min(space.degrees[b[lo]:b[hi + 1]]) < 1 for lo, hi in groups):
         return float("inf")
     sweeps = sum(rde_cost(space.degrees[b[lo]:b[hi + 1]]) for lo, hi in groups if lo < hi)
@@ -157,17 +169,6 @@ def test_costs():
     assert rde_cost(table7(5).degrees) > join_cost(5)
 
 
-def test_mixed_explicit_plan():
-    sp = worked_space()
-    forced = build_matrix_mixed(sp, FLOAT, plan=["rki", "rki", "rki"])
-    default = build_matrix_rki(sp, FLOAT)
-    assert np.allclose(forced.matrix, default.matrix, atol=0, rtol=0)
-    with pytest.raises(ValueError):
-        build_matrix_mixed(sp, FLOAT, plan=["rki", "rki"])
-    with pytest.raises(ValueError):
-        build_matrix_mixed(sp, FLOAT, plan=["rki", "fast", "rki"])
-
-
 def test_mixed_groups_are_recorded():
     trace = Trace()
     sp = table7(15)
@@ -179,11 +180,13 @@ def test_mixed_groups_are_recorded():
 
 
 def test_one_section_rde_is_the_section_bundle():
-    sp = MDSpace.create((0.0, 2.0), (1.0,), (3, 3), (1,))
-    bundle = build_matrix_rde(sp, FLOAT)
-    assert bundle.strategy == "rde" and bundle.alpha_count == 0
-    assert np.array_equal(bundle.matrix, np.eye(sp.dimension))
-    assert set(bundle.orders) == {0, 1}
+    # a degree-0 section too: it has nothing to lower
+    for degree in (3, 0):
+        sp = MDSpace.create((0.0, 2.0), (1.0,), (degree, degree), (min(degree, 1),))
+        bundle = build_matrix_rde(sp, FLOAT)
+        assert bundle.strategy == "rde" and bundle.alpha_count == 0
+        assert np.array_equal(bundle.matrix, np.eye(sp.dimension))
+        assert set(bundle.orders) == {0, 1}
 
 
 def test_a_seamless_build_carries_orders_0_and_1():
@@ -197,14 +200,27 @@ def test_a_seamless_build_carries_orders_0_and_1():
 
 
 def test_rde_rejects_degree_zero_sections():
-    sp = MDSpace.create((0.0, 2.0), (1.0,), (0, 2), (0,))
-    with pytest.raises(UnsupportedSpaceError):
-        build_matrix_rde(sp, FLOAT)
-    # mixed falls back to joins instead, unless its plan asks for the sweep
-    bundle = build_matrix_mixed(sp, FLOAT)
-    assert bundle.matrix.shape == (sp.dimension, sp.dimension)
-    with pytest.raises(UnsupportedSpaceError):
-        build_matrix_mixed(sp, FLOAT, plan=["rde", "rde"])
+    for degrees in ((0, 2), (0, 1)):
+        sp = MDSpace.create((0.0, 2.0), (1.0,), degrees, (0,))
+        with pytest.raises(UnsupportedSpaceError):
+            build_matrix_rde(sp, FLOAT)
+        # mixed joins the two sections instead
+        bundle = build_matrix_mixed(sp, FLOAT)
+        assert bundle.matrix.shape == (sp.dimension, sp.dimension)
+
+
+def test_a_field_other_than_float_or_exact_is_refused():
+    # int would truncate breakpoint 1.5 to 1 and float32 round in the eighth
+    # digit: both built a wrong basis without a word
+    sp = MDSpace.create((0.0, 3.0), (1.5, 2.0), (3, 2, 3), (2, 1))
+    assert np.allclose(eval_basis(build_matrix(sp), 1.7).values,
+                       [0.045, 0.53306452, 0.42193548], atol=1e-8, rtol=0)
+    for field in (int, np.float32):
+        for route in ("rki", "rde", "mixed", "derivative"):
+            with pytest.raises(ValueError, match="FLOAT or EXACT"):
+                build_matrix(sp, route, field)
+        with pytest.raises(ValueError, match="FLOAT or EXACT"):
+            eval_c0_basis(sp.associated_c0(), 1.7, field)
 
 
 def test_dispatcher():
@@ -217,24 +233,19 @@ def test_dispatcher():
         build_matrix(sp, "newton")
 
 
-def test_plan_is_for_the_mixed_route_only():
-    sp = worked_space()
-    for route in ("rki", "rde", "derivative"):
-        with pytest.raises(ValueError, match="plan"):
-            build_matrix(sp, route, FLOAT, plan=["rki"] * 3)
-
-
 def test_routes_share_the_join_order():
-    # rki, derivative and an all-rki plan run the same seams in the same order
-    sp = worked_space()
+    # rki, derivative and mixed on a space it plans as all rki run the same
+    # seams in the same order, the C2 seam on the right first
+    sp = MDSpace.create((0.0, 4.0), (1.0, 2.0, 3.0), (2, 2, 5, 3), (1, 1, 2))
+    assert auto_plan(sp) == ["rki"] * 3
     order = {}
     for route in ("rki", "derivative", "mixed"):
         trace = Trace()
-        build_matrix(sp, route, EXACT, trace, plan=["rki"] * 3 if route == "mixed" else None)
+        build_matrix(sp, route, EXACT, trace)
         order[route] = [s.at for s in trace.steps if s.k == 1]
-    assert order["rki"] == order["mixed"] == [3.0, 3.0, 3.0, 2.0, 2.0]
+    assert order["rki"] == order["mixed"] == [3.0, 3.0, 2.0]
     assert order["derivative"] == [3.0, 2.0]
-    assert build_matrix_derivative(sp, EXACT).matrix.tolist() == FULL_MATRIX
+    assert build_matrix_derivative(worked_space(), EXACT).matrix.tolist() == FULL_MATRIX
 
 
 def test_alpha_counts_by_strategy():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from conftest import random_space, space_strategy
+from conftest import internal_space, random_space, space_strategy
 from mdspline import EXACT, FLOAT, MDSpace, SpaceValidationError
 from mdspline.assembler import build_matrix
 from mdspline.c0_engine import (c0_integrals, eval_c0_basis, eval_c0_derivatives,
@@ -40,7 +40,7 @@ def test_glued_integrals():
 
 def test_derivative_section_integrals():
     # first derivative image of (2_1 2) on [0, 2]
-    dsp = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (0,), internal=True)
+    dsp = internal_space((0.0, 2.0), (1.0,), (1, 1), (0,))
     assert tuple(c0_integrals(dsp, EXACT)) == (F(1, 2), F(1), F(1, 2))
 
 
@@ -59,13 +59,13 @@ def test_layout_glues_c0_degree_change():
 
 
 def test_layout_c_minus_1_splits():
-    sp = MDSpace.create((0.0, 2.0), (1.0,), (1, 1), (-1,), internal=True)
+    sp = internal_space((0.0, 2.0), (1.0,), (1, 1), (-1,))
     assert sp.dimension == 4
     assert slots(sp, (0.0, 0.5, 1.0, 1.5, 2.0)) == [(1, 2)] * 2 + [(3, 4)] * 3
 
 
 def test_layout_gap_and_zero_slots():
-    sp = MDSpace.create((0.0, 2.0), (1.0,), (2, 2), (-2,), internal=True)
+    sp = internal_space((0.0, 2.0), (1.0,), (2, 2), (-2,))
     assert sp.dimension == 7
     assert slots(sp, (0.0, 0.5, 1.0, 1.5, 2.0)) == [(1, 2, 3)] * 2 + [(5, 6, 7)] * 3
     s, t = evaluable_partitions(sp)
@@ -75,7 +75,7 @@ def test_layout_gap_and_zero_slots():
             w = eval_c0_derivatives(sp, x, side, 1, FLOAT)
             assert len(w.values) == 3 and not w.first <= 4 <= w.last
     # gap interval: empty window
-    gap = MDSpace.create((0.0, 2.0), (1.0,), (-1, 2), (-1,), internal=True)
+    gap = internal_space((0.0, 2.0), (1.0,), (-1, 2), (-1,))
     assert len(eval_c0_basis(gap, 0.5, FLOAT).values) == 0
 
 
@@ -328,7 +328,7 @@ def _runs(sp):
     build_matrix(PRESETS["test6"](), "rki").ref,
     build_matrix(table7(10), "rki").ref,
     build_matrix(random_space(5), "rki").ref,
-    MDSpace.create((0.0, 2.0), (1.0,), (2, 2), (-2,), internal=True),
+    internal_space((0.0, 2.0), (1.0,), (2, 2), (-2,)),
 ], ids=str)
 def test_windows_match_scipy_design_matrix(sp):
     # per equal-degree run, the window values are the nonzero entries of the

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,32 @@ def test_exit_codes(capsys, tmp_path):
                                  "degrees": [0, 1], "continuities": [0]})
     rc, _, err = run(capsys, "matrix", "--space", deg0, "--method", "rde")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--preset", "cox", "--grid", "abc"],
+    ["eval", "--preset", "cox", "--method", "newton"],
+    [],
+])
+def test_a_usage_error_exits_1(capsys, argv):
+    # argparse's own code 2 would read as "construction not applicable"
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and "usage:" in err
+
+
+def test_help_exits_0(capsys):
+    rc, out, _ = run(capsys, "eval", "--help")
+    assert rc == 0 and "--grid" in out
+
+
+def test_the_module_process_exits_1_on_a_usage_error():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "mdspline.cli", "eval", "--preset", "cox",
+                           "--grid", "abc"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1 and "invalid int value" in done.stderr
 
 
 @pytest.mark.parametrize("doc", [
