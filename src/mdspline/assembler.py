@@ -6,9 +6,10 @@ and "derivative" keep every section on its own, "rde" puts all of them into
 one group, and "mixed" takes the groups of `auto_plan`'s cheapest plan. A
 one-section group is a section bundle; a longer one is embedded in the uniform
 cover of its maximum degree by one degree-lowering sweep. The blocks are then
-joined pairwise at the seams between groups, highest continuity first, by
-`cr_join`, or by `legacy_join` on the derivative route. With one group per
-section, the reference is checked against the space's continuity-zero shadow.
+joined pairwise at the seams between groups in `join_order`, highest
+continuity first and a run of equal ones as a balanced tree, by `cr_join`, or
+by `legacy_join` on the derivative route. With one group per section, the
+reference is checked against the space's continuity-zero shadow.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ def build_matrix(space: MDSpace, route: str = RKI, field=FLOAT,
         blocks.append(rde_build(sub, field, top, trace))
     join = legacy_join if route == DERIVATIVE else cr_join
     seams = {dec.joins[hi] for _, hi in groups[:-1]}
+    ends, starts = {b.space.b: b for b in blocks}, {b.space.a: b for b in blocks}
     for jn in (jn for jn in dec.join_order if jn in seams):
-        pos = next(i for i, b in enumerate(blocks) if b.space.b == jn.x)
-        left, right = blocks[pos], blocks[pos + 1]
-        blocks[pos:pos + 2] = [join(left, right, jn.continuity, trace=trace)]
-    out = blocks[0]
+        out = join(ends.pop(jn.x), starts.pop(jn.x), jn.continuity, trace=trace)
+        ends[out.space.b] = starts[out.space.a] = out
+    out = starts[space.a]
     out.strategy = route
     if out.space != space:
         raise NumericalInconsistencyError(f"built {out.space}, expected {space}")

@@ -22,19 +22,26 @@ from .errors import SpaceValidationError
 
 
 def _numbers(values, what: str, count: int | None = None) -> tuple[float, ...]:
-    """The values as floats; a string or a bool is rejected, not read as its
-    characters or as 0 or 1, and so is a count other than `count`."""
-    items = None if isinstance(values, (str, bytes)) else tuple(values)
+    """The values as floats; a string, a mapping or a bool is rejected, not
+    read as its characters, its keys or as 0 or 1, and so is a count other
+    than `count` or an integer too large for a double."""
+    items = None if isinstance(values, (str, bytes, dict)) else tuple(values)
     if (items is None or count not in (None, len(items))
             or not {str, bytes, bool}.isdisjoint(map(type, items))):
         need = "numbers" if count is None else f"{count} numbers"
         raise SpaceValidationError(f"{what} must be a list of {need}, got {values!r}")
-    return tuple(map(float, items))
+    try:
+        return tuple(map(float, items))
+    except OverflowError as exc:
+        raise SpaceValidationError(f"{what} must fit in a double: {exc}") from exc
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
     """The values as ints; a non-integral value such as 3.7 or a bool is
-    rejected, not truncated, while an integral float such as 3.0 is accepted."""
+    rejected, not truncated, while an integral float such as 3.0 is accepted;
+    a string or a mapping is rejected, not read as its characters or keys."""
+    if isinstance(values, (str, bytes, dict)):
+        raise SpaceValidationError(f"{what} must be a list of integers, got {values!r}")
     values = tuple(values)
     try:
         out = tuple(map(int, values))
@@ -86,6 +93,10 @@ class MDSpace:
             if not right > left:
                 raise SpaceValidationError(
                     f"breakpoints must be strictly increasing inside ({self.a}, {self.b})")
+            if not math.isfinite(1 / (right - left)):
+                raise SpaceValidationError(f"width of [{left}, {right}] has no finite reciprocal")
+        if not math.isfinite(self.b - self.a):
+            raise SpaceValidationError(f"span of [{self.a}, {self.b}] is not finite")
         if not self.internal:
             for j, d in enumerate(self.degrees):
                 if d < 0:
@@ -248,5 +259,9 @@ class SectionDecomposition:
 
     @property
     def join_order(self) -> tuple[JoinSpec, ...]:
-        """Seams by decreasing continuity, ties left first."""
-        return tuple(sorted(self.joins, key=lambda jn: (-jn.continuity, jn.index)))
+        """Seams by decreasing continuity; ties by the lowest set bit of the
+        1-based ordinal in `joins`, then left first, so a run of equal seams
+        joins as a balanced binary tree."""
+        ranked = sorted(enumerate(self.joins, start=1),
+                        key=lambda p: (-p[1].continuity, p[0] & -p[0], p[0]))
+        return tuple(jn for _, jn in ranked)

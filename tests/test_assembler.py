@@ -5,6 +5,8 @@ build; the rationals of its harder half are pinned in test_join_core, and the
 independent coefficient replays in test_oracle confirm the rest.
 """
 
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,6 +16,7 @@ from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build
                       build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
                       build_matrix_rki, eval_basis)
 from conftest import random_space
+from mdspline import assembler
 from mdspline.assembler import auto_plan, join_cost, rde_cost
 from mdspline.c0_engine import eval_c0_basis
 from mdspline.presets import PRESETS, table7
@@ -246,6 +249,34 @@ def test_routes_share_the_join_order():
     assert order["rki"] == order["mixed"] == [3.0, 3.0, 2.0]
     assert order["derivative"] == [3.0, 2.0]
     assert build_matrix_derivative(worked_space(), EXACT).matrix.tolist() == FULL_MATRIX
+
+
+def test_equal_seams_join_as_a_balanced_tree(monkeypatch):
+    # 32 sections of degrees 2, 3, 2, .. with C1 seams: joining left first,
+    # the first interval would take part in all 31 joins; as a balanced tree
+    # no interval takes part in more than log2(32) = 5
+    n = 32
+    sp = MDSpace.create((0.0, float(n)), tuple(map(float, range(1, n))),
+                        (2, 3) * (n // 2), (1,) * (n - 1))
+    assert len(sp.section_decomposition().sections) == n
+    joins = []
+    cr_join = assembler.cr_join
+
+    def counted(left, right, r, **kw):
+        joins.append(range(int(left.space.a), int(right.space.b)))
+        return cr_join(left, right, r, **kw)
+
+    monkeypatch.setattr(assembler, "cr_join", counted)
+    basis = {}
+    for route in ("rki", "mixed", "rde"):
+        joins.clear()
+        bundle = build_matrix(sp, route, EXACT)
+        # mixed plans every section on its own here; rde lowers one group
+        assert len(joins) == (0 if route == "rde" else n - 1), route
+        depth = Counter(j for span in joins for j in span)
+        assert max(depth.values(), default=0) <= math.ceil(math.log2(n)), route
+        basis[route] = [list(eval_basis(bundle, F(i, 7)).scatter()) for i in range(7 * n + 1)]
+    assert basis["rki"] == basis["rde"] and basis["mixed"] == basis["rde"]
 
 
 def test_alpha_counts_by_strategy():

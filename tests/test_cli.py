@@ -121,6 +121,24 @@ def test_unknown_key_in_a_space_file_is_an_input_error(capsys, tmp_path, command
     assert err.startswith("error: ") and "continuity" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, what", [
+    ({"interval": [0, 10 ** 400], "degrees": [3]}, "double"),
+    ({"interval": [0, 1e-320], "degrees": [3]}, "reciprocal"),
+    ({"interval": [-1e308, 1e308], "degrees": [3]}, "span"),
+    ({"interval": [0, 1], "breakpoints": {}, "degrees": [3]}, "breakpoints"),
+])
+@pytest.mark.parametrize("command", [["validate"], ["eval", "--grid", "2"]])
+def test_a_space_a_double_cannot_hold_is_an_input_error(capsys, tmp_path, doc, what, command):
+    # an integer too big for a double, a width whose reciprocal overflows and
+    # a span that overflows are refused where they enter, in one line, not as
+    # a traceback, NaN values or a point "nan" outside the interval
+    path = space_file(tmp_path, doc)
+    rc, out, err = run(capsys, *command, "--space", path)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and what in err and err.count("\n") == 1
+    assert "nan" not in err
+
+
 def test_integral_float_degrees_accepted(capsys, tmp_path):
     path = space_file(tmp_path, {"interval": [0.0, 2.0], "breakpoints": [1.0],
                                  "degrees": [3.0, 3], "continuities": [2.0]})

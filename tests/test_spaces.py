@@ -149,6 +149,19 @@ def test_non_finite_knots_rejected(interval, breakpoints):
         space.validate()
 
 
+@pytest.mark.parametrize("interval, breakpoints, what", [
+    ((0.0, 1e-320), (), "reciprocal"),
+    ((0.0, 2.0), (1e-320,), "reciprocal"),
+    ((-1e308, 1e308), (), "span"),
+    ((-1e308, 1e308), (0.0,), "span"),
+])
+def test_widths_a_double_cannot_invert_rejected(interval, breakpoints, what):
+    # each is finite and increasing, but 1 / width or b - a overflows
+    with pytest.raises(SpaceValidationError, match=what):
+        MDSpace.create(interval, breakpoints, (3,) * (len(breakpoints) + 1),
+                       (2,) * len(breakpoints))
+
+
 @pytest.mark.parametrize("degrees, continuities", [
     ((3.7, 3), (2,)),
     ((3, 3), (1.5,)),
@@ -173,6 +186,10 @@ def test_non_integral_orders_rejected(degrees, continuities):
       "continuities": [1, 2]}, "degrees"),
     ({"interval": [0, 3], "breakpoints": [1, 2], "degrees": [1, 2, 3],
       "continuities": [1, True]}, "continuities"),
+    ({"interval": [0, 1], "breakpoints": {}, "degrees": [3]}, "breakpoints"),
+    ({"interval": [0, 1], "degrees": [3], "continuities": {}}, "continuities"),
+    ({"interval": [0, 1], "degrees": [3], "continuities": ""}, "continuities"),
+    ({"interval": [0, 10 ** 400], "degrees": [3]}, "interval"),
 ])
 def test_schema_types_rejected(doc, what):
     # the schema asks for an interval of exactly 2 numbers and integer
