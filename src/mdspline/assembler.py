@@ -47,8 +47,7 @@ def auto_plan(space: MDSpace) -> list[str]:
     `join_cost` of the seam before it. Labels cannot keep two sweeps apart, so
     a sweep follows only a single section or the start. A sweep stops growing
     left once its cost reaches the seams it spans: `rde_cost` is superadditive,
-    so splitting there is no dearer. The seams beside a degree-0 section cost
-    0, so a sweep over one, which `rde_build` rejects, never wins either."""
+    so splitting there is no dearer."""
     dec = space.section_decomposition()
     n, bounds, degrees = len(dec.sections), dec.boundaries, space.degrees
     seam = [0] + [join_cost(jn.continuity) for jn in dec.joins]

@@ -110,8 +110,8 @@ def _parse_points(args, space: MDSpace) -> list[float]:
     n = 11 if args.grid is None else args.grid
     if n < 2:
         raise ValueError(f"--grid needs at least 2 points, got {n}")
-    a, b = space.a, space.b
-    return [a + (b - a) * i / (n - 1) for i in range(n)]
+    a, b = space.a, space.b     # b itself: a + (b - a) may round past it
+    return [a + (b - a) * i / (n - 1) for i in range(n - 1)] + [b]
 
 
 def cmd_eval(args) -> int:

@@ -46,6 +46,7 @@ def alpha_via_derivatives(matrix: np.ndarray, ref: MDSpace, seam: float, k: int,
     return RKICoefficients(ib, ie, tuple(alphas), tuple(betas))
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a matrix that is not finite raises
 def legacy_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) -> Bundle:
     """Join two order-0 bundles with continuity r, one seam derivative order
     at a time. Step k is recorded as cell (r, k) of a join triangle: the
@@ -63,6 +64,8 @@ def legacy_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = No
         if trace is not None:
             trace.steps.append(Step("legacy", seam, r, k, co, matrix, in0))
         matrix = apply_bidiagonal(matrix, co)
+    if not (abs(matrix) < np.inf).all():
+        raise NumericalInconsistencyError(f"derivative jumps at {seam} overflow a double")
     joined = join_spaces(left.space, right.space, r)
     orders = {0: OrderData(matrix, ref, in0, matrix.dot(in0))}
     count = left.alpha_count + right.alpha_count + r

@@ -13,6 +13,7 @@ place: steps run left to right, and a row no step has reached only moves up.
 Rows start as the identity and a step only merges adjacent rows or drops one,
 so row i of a level that has lost `gone` rows lies in columns i .. i + gone:
 a step combines only those columns of its rows, and the integral column.
+At h = 0 every window is empty: row k's ends at ie = ib - 1 - (r - k) < ib.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
-from .errors import NumericalInconsistencyError, UnsupportedSpaceError
+from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
                         apply_bidiagonal, ratio_coefficients)
 from .spaces import MDSpace
@@ -99,9 +100,6 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
     derivative orders 0..r-1 where r = lowering_depth(space, min_orders).
     Each level carries its basis integrals as one extra last column, so that
     every step updates them with its rows."""
-    if min(space.degrees) < 1:
-        raise UnsupportedSpaceError(
-            "degree lowering needs every interval degree to be at least 1")
     r = lowering_depth(space, min_orders)
 
     degrees = [max(space.degrees)] * (space.q + 1)

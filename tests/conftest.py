@@ -28,6 +28,20 @@ def random_space(seed: int, max_breakpoints: int = 8, max_degree: int = 12) -> M
                           tuple(float(v) for v in knots[1:-1]), degrees, conts)
 
 
+def unit_space(degrees, continuities=None) -> MDSpace:
+    """Unit intervals on [0, len(degrees)], C0 seams unless given."""
+    q = len(degrees) - 1
+    return MDSpace.create((0.0, q + 1.0), tuple(map(float, range(1, q + 1))), degrees,
+                          continuities or (0,) * q)
+
+
+def without_degree_one(space: MDSpace) -> MDSpace:
+    """`space` with its degree-1 intervals at degree 0, continuities clamped."""
+    degrees = tuple(d if d > 1 else 0 for d in space.degrees)
+    conts = tuple(min(k, a, b) for k, a, b in zip(space.continuities, degrees, degrees[1:]))
+    return MDSpace.create((space.a, space.b), space.breakpoints, degrees, conts)
+
+
 def internal_space(interval, breakpoints, degrees, continuities) -> MDSpace:
     """A checked internal space, whose raw orders may be negative."""
     space = MDSpace(*interval, breakpoints, degrees, continuities, internal=True)

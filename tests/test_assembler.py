@@ -12,11 +12,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import (EXACT, FLOAT, MDSpace, Trace, UnsupportedSpaceError, build_matrix,
-                      build_matrix_derivative, build_matrix_mixed, build_matrix_rde,
-                      build_matrix_rki, eval_basis)
-from conftest import random_space
-from mdspline import assembler
+from mdspline import (EXACT, FLOAT, MDSpace, Trace, build_matrix, build_matrix_derivative,
+                      build_matrix_mixed, build_matrix_rde, build_matrix_rki, eval_basis)
+from conftest import random_space, unit_space, without_degree_one
+from mdspline import assembler, oracle
 from mdspline.assembler import auto_plan, join_cost, rde_cost
 from mdspline.c0_engine import eval_c0_basis
 from mdspline.presets import PRESETS, table7
@@ -119,21 +118,11 @@ def label_groups(plan):
 
 def modelled_cost(space, dec, plan):
     """Coefficient count the cost model gives a label plan: `rde_cost` per
-    sweep plus `join_cost` per seam between groups; infinite when a sweep
-    spans a degree-0 interval."""
+    sweep plus `join_cost` per seam between groups."""
     b = dec.boundaries
     groups = label_groups(plan)
-    if any(lo < hi and min(space.degrees[b[lo]:b[hi + 1]]) < 1 for lo, hi in groups):
-        return float("inf")
     sweeps = sum(rde_cost(space.degrees[b[lo]:b[hi + 1]]) for lo, hi in groups if lo < hi)
     return sweeps + sum(join_cost(dec.joins[hi].continuity) for _, hi in groups[:-1])
-
-
-def without_degree_one(space):
-    """`space` with its degree-1 intervals at degree 0, continuities clamped."""
-    degrees = tuple(d if d > 1 else 0 for d in space.degrees)
-    conts = tuple(min(k, a, b) for k, a, b in zip(space.continuities, degrees, degrees[1:]))
-    return MDSpace.create((space.a, space.b), space.breakpoints, degrees, conts)
 
 
 def test_auto_plan_is_the_cheapest_label_plan():
@@ -202,14 +191,35 @@ def test_a_seamless_build_carries_orders_0_and_1():
         assert np.array_equal(bundle.matrix, np.eye(301))
 
 
-def test_rde_rejects_degree_zero_sections():
+def test_rde_builds_degree_zero_sections():
+    # rde lowers through degree 0; mixed joins the two sections
     for degrees in ((0, 2), (0, 1)):
         sp = MDSpace.create((0.0, 2.0), (1.0,), degrees, (0,))
-        with pytest.raises(UnsupportedSpaceError):
-            build_matrix_rde(sp, FLOAT)
-        # mixed joins the two sections instead
-        bundle = build_matrix_mixed(sp, FLOAT)
-        assert bundle.matrix.shape == (sp.dimension, sp.dimension)
+        rki = build_matrix_rki(sp, FLOAT)
+        for bundle in (build_matrix_rde(sp, FLOAT), build_matrix_mixed(sp, FLOAT)):
+            for x in np.linspace(0.0, 2.0, 41):
+                assert np.allclose(eval_basis(bundle, x).scatter(), eval_basis(rki, x).scatter(),
+                                   rtol=0, atol=1e-15), (degrees, bundle.strategy, x)
+
+
+DEGREE_ZERO_SAMPLE = [
+    unit_space((0,)), unit_space((1, 0, 1)), unit_space((0, 5, 0)),
+    unit_space((0, 3, 3, 0), (0, 3, 0)), unit_space((20, 0, 20)), unit_space((0, 2)),
+] + [sp for sp in (without_degree_one(random_space(seed, 4, 8)) for seed in range(40))
+     if sp.q and min(sp.degrees) == 0][:12]
+
+
+@pytest.mark.parametrize("sp", DEGREE_ZERO_SAMPLE, ids=str)
+def test_degree_zero_spaces_build_on_every_stable_route(sp):
+    # exact rde and mixed bases equal rki at every multiple of 1/7, breakpoints
+    # included; float builds stay within criterion 4's two-section budget
+    xs = [F(i, 7) for i in range(math.ceil(7 * sp.a), math.floor(7 * sp.b) + 1)]
+    rki = build_matrix_rki(sp, EXACT)
+    basis = [list(eval_basis(rki, x).scatter()) for x in xs]
+    for route in ("rde", "mixed"):
+        exact = build_matrix(sp, route, EXACT)
+        assert [list(eval_basis(exact, x).scatter()) for x in xs] == basis, route
+        assert oracle.matrix_error(build_matrix(sp, route, FLOAT).matrix, exact.matrix) <= 5e-15
 
 
 def test_a_field_other_than_float_or_exact_is_refused():

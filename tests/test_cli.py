@@ -60,11 +60,15 @@ def test_exit_codes(capsys, tmp_path):
     assert rc == 1
     rc, _, err = run(capsys, "validate")
     assert rc == 1
-    # strategy limitation surfaces as a runtime error, not a usage error
+    # every route builds a degree-0 space; abscissae need degree 1, and their
+    # refusal is a runtime error, not a usage error
     deg0 = space_file(tmp_path, {"interval": [0, 2], "breakpoints": [1.0],
                                  "degrees": [0, 1], "continuities": [0]})
-    rc, _, err = run(capsys, "matrix", "--space", deg0, "--method", "rde")
-    assert rc == 2
+    for method in ("rki", "rde", "mixed", "derivative"):
+        rc, _, err = run(capsys, "matrix", "--space", deg0, "--method", method)
+        assert rc == 0 and err == "", method
+    rc, out, err = run(capsys, "eval", "--space", deg0, "--greville")
+    assert rc == 2 and out == "" and err.startswith("runtime error:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +347,15 @@ def test_eval_grid_two_gives_the_endpoints(capsys):
     assert rc == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert [float(r[0]) for r in rows[1:]] == [-10000.0, 10000.0]
+
+
+def test_eval_grid_ends_at_b_even_when_the_span_rounds_up(capsys, tmp_path):
+    # -1.6 + (-0.4 - -1.6) is -0.3999999999999999, past b
+    path = space_file(tmp_path, {"interval": [-1.6, -0.4], "degrees": [2]})
+    rc, out, err = run(capsys, "eval", "--space", path, "--grid", "5")
+    assert rc == 0 and err == ""
+    xs = [float(r[0]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert xs[0] == -1.6 and xs[-1] == -0.4 and xs == sorted(xs)
 
 
 def test_experiment_accepts_route_names(capsys):

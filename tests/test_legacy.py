@@ -4,6 +4,7 @@ The single-step case on (2_1 1) over [2, 4] has a one-line hand derivation:
 the seam jumps of the C0 basis give alpha_3 = 1 + (-2)/3 = 1/3.
 """
 
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -79,6 +80,17 @@ def test_vanishing_jump_raises():
     matrix = np.eye(3)
     with pytest.raises(NumericalInconsistencyError):
         alpha_via_derivatives(matrix, sp, 1.0, 2, 2, 2)
+
+
+def test_derivatives_a_double_cannot_hold_raise():
+    # the second derivatives at a C2 seam between widths of 1e-307 are about
+    # 1e614: the jumps overflow, and the route raises instead of a NaN matrix
+    sp = MDSpace.create((0.0, 4e-307), (1e-307, 2e-307, 3e-307), (0, 0, 2, 3), (0, 0, 2))
+    with warnings.catch_warnings():     # and no floating-point warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInconsistencyError, match="overflow"):
+            build_matrix_derivative(sp, FLOAT)
+    assert np.isfinite(build_matrix_rki(sp, FLOAT).matrix).all()
 
 
 def test_bundle_shape():

@@ -9,12 +9,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_space
+from conftest import random_space, unit_space, without_degree_one
 from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
 from mdspline._scalars import eye
 from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
-from mdspline.errors import NumericalInconsistencyError, UnsupportedSpaceError
+from mdspline.errors import NumericalInconsistencyError
 from mdspline.join_core import LazyIntegrals, RKICoefficients, apply_bidiagonal
 from mdspline.presets import PRESETS, table7
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
@@ -111,10 +111,21 @@ def test_order1_integrals_positive():
     assert all(v > 0 for v in bundle.orders[1].integrals)
 
 
-def test_rejects_degree_zero():
-    sp = MDSpace.create((0.0, 2.0), (1.0,), (0, 2), (0,))
-    with pytest.raises(UnsupportedSpaceError):
-        rde_build(sp, FLOAT)
+def test_lowers_through_degree_zero():
+    # at h = 0 every window is empty: row r's step merges two rows and every
+    # row below drops one, so no coefficient is nontrivial; that the bases
+    # equal rki's is checked in test_assembler on these spaces and more
+    for degrees in ((0, 2), (1, 0, 1), (0, 5, 0), (20, 0, 20)):
+        sp, trace = unit_space(degrees), Trace()
+        bundle = rde_build(sp, EXACT, trace=trace)
+        r = lowering_depth(sp)
+        to_zero = [s for s in trace.steps if s.at[1] == 0]
+        assert len(to_zero) == r * degrees.count(0), degrees
+        for s in to_zero:
+            co = s.coefficients
+            assert co.alphas == () and (co.ib == co.ie + 1) == (s.k == r), (degrees, s.k)
+        assert bundle.alpha_count == rde_cost(degrees)
+        assert bundle.matrix.shape == (sp.dimension, bundle.orders[0].ref.dimension)
 
 
 def test_lazy_integrals_cache():
@@ -131,16 +142,17 @@ def test_lowering_depth():
 
 def test_cost_model_counts_the_sweep():
     # rde_cost predicts the nontrivial coefficient count of the sweep it models
+    # on spaces with degree-0 intervals too
     cases = 0
     for seed in range(300):
-        sp = random_space(seed, 6, 8)
-        if min(sp.degrees) < 1:
-            continue
-        for k in range(1, max(sp.degrees) + 1):
-            assert rde_cost(sp.degrees) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
-                (seed, k)
-            cases += 1
-    assert cases == 1920
+        spaces = [random_space(seed, 6, 8)]
+        spaces += [sp for sp in [without_degree_one(spaces[0])] if min(sp.degrees) == 0]
+        for sp in spaces:
+            for k in range(1, max(sp.degrees) + 1):
+                assert rde_cost(sp.degrees) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
+                    (seed, sp, k)
+                cases += 1
+    assert cases == 1920 + 828
 
 
 def test_no_space_per_lowering_row(monkeypatch):
