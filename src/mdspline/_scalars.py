@@ -47,10 +47,10 @@ def zeros(shape, field) -> np.ndarray:
 
 
 def eye(n: int, field, cols: int | None = None) -> np.ndarray:
+    """The n x cols identity, n x n by default, as `np.eye` makes it."""
     if field is Fraction:
-        arr = zeros((n, cols or n), Fraction)
-        for i in range(n):
-            arr[i, i] = Fraction(1)
+        arr = zeros((n, n if cols is None else cols), Fraction)
+        arr[np.eye(*arr.shape, dtype=bool)] = Fraction(1)
         return arr
     return np.eye(n, cols, dtype=np.float64)
 

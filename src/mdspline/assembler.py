@@ -29,7 +29,7 @@ DERIVATIVE = "derivative"
 
 def rde_cost(degrees) -> int:
     """Nontrivial coefficient count of `rde_build` on a space with these
-    interval degrees, whatever its continuities and `min_orders`: the step
+    interval degrees, whatever its continuities and `top`: the step
     that lowers an interval to degree h has windows of h, h - 1, ..., 1 rows,
     so lowering degree d to the maximum m costs
     join_cost(m - 1) - join_cost(d - 1)."""

@@ -209,7 +209,8 @@ class Step:
     `matrix`, whose reference basis has the integrals `integrals0`; the level
     it makes is apply_bidiagonal(matrix, coefficients). Step k = 0 of join row
     n is the C0 gluing: its matrix holds the two operand blocks side by side,
-    and its degenerate window merges their seam rows.
+    and its degenerate window merges their seam rows. A lowering step on a row
+    whose order the sweep does not emit has a matrix with no columns.
     """
     kind: str
     at: object

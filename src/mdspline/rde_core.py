@@ -5,14 +5,15 @@ The construction runs on a rectangular family of spaces: row k holds the
 (r - k)-th derivative images of the degree-lowering chain, row r the chain
 itself. Each lowering step is a bidiagonal row combination whose window sits
 over the affected interval; its coefficients follow from the row below by the
-same integral ratio recurrence used for continuity-raising joins. Row 0 is a
-level that carries only its integrals: r is at least the maximum degree minus
-one, so there every step window is empty, its step only merges or drops rows,
-and it serves row 1 as the step below. Each level is one array, written in
-place: steps run left to right, and a row no step has reached only moves up.
-Rows start as the identity and a step only merges adjacent rows or drops one,
-so row i of a level that has lost `gone` rows lies in columns i .. i + gone:
-a step combines only those columns of its rows, and the integral column.
+same integral ratio recurrence used for continuity-raising joins, which reads
+only the integrals of the row below. So a row carries a matrix only if the
+build emits its order, 0..max(top, 1); every other row, row 0 among them, is a
+level of one column, its integrals. r is at least the maximum degree minus one,
+so row 0's windows are empty. Each level is one array, written in place: steps
+run left to right, and a row no step has reached only moves up. Rows start as
+the identity and a step only merges adjacent rows or drops one, so row i of a
+level that has lost `gone` rows lies in columns i .. i + gone: a step combines
+only those columns of its rows, and the integral column.
 At h = 0 every window is empty: row k's ends at ie = ib - 1 - (r - k) < ib.
 """
 
@@ -36,11 +37,10 @@ def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
             for h in range(m - 1, d - 1, -1)]
 
 
-def lowering_depth(space: MDSpace, min_orders: int = 1) -> int:
+def lowering_depth(space: MDSpace, top: int = 1) -> int:
     """Row count r of the lowering rectangle: at least the maximum degree minus
-    one, so that row 0 has empty windows, and enough to emit orders
-    0..min_orders."""
-    return max(2, max(space.degrees) - 1, min_orders + 1)
+    one, so that row 0 has empty windows, and enough to emit orders 0..top."""
+    return max(2, max(space.degrees) - 1, top + 1)
 
 
 def level_space(space: MDSpace, degrees, drop: int) -> MDSpace:
@@ -85,7 +85,7 @@ def _lower(level, co: RKICoefficients):
         raise NumericalInconsistencyError(f"lowering step at row {co.ie} after row {done}")
     m[done:co.ie + 1] = m[done + gone:co.ie + 1 + gone]     # rows done..ie to their own index
     level[1:], pre, post = [co.ie, gone + 1], None, None
-    if co.ie > shift:       # level 0 has no columns but its integrals
+    if co.ie > shift:
         end = min(co.ie + gone + 1, m.shape[1] - 1)
         rows = np.concatenate([m[shift:co.ie + 1, shift:end], m[shift:co.ie + 1, -1:]], 1)
         out = apply_bidiagonal(rows, co.shifted(-shift))
@@ -94,21 +94,21 @@ def _lower(level, co: RKICoefficients):
     return pre, post
 
 
-def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
+def rde_build(space: MDSpace, field=FLOAT, top: int = 1,
               trace: Trace | None = None) -> Bundle:
     """Bundle representing `space` over uniform-degree references, with
-    derivative orders 0..r-1 where r = lowering_depth(space, min_orders).
-    Each level carries its basis integrals as one extra last column, so that
-    every step updates them with its rows."""
-    r = lowering_depth(space, min_orders)
+    derivative orders 0..max(top, 1). Each level carries its basis integrals
+    as one extra last column, so that every step updates them with its rows."""
+    r, top = lowering_depth(space, top), max(top, 1)
 
     degrees = [max(space.degrees)] * (space.q + 1)
     refs = {k: level_space(space, degrees, r - k) for k in range(r + 1)}
     in_ref = {k: c0_integrals(refs[k], field) for k in range(r + 1)}
 
-    levels = {0: [in_ref[0][:, None], 0, 0]}    # row 0 carries only its integrals
-    for k in range(1, r + 1):     # one allocation per level, integrals written in place
-        m = eye(refs[k].dimension, field, refs[k].dimension + 1)
+    levels = {}
+    for k in range(r + 1):      # one allocation per level, integrals written in place
+        n = refs[k].dimension
+        m = eye(n, field, n + 1 if r - k <= top else 1)
         m[:, -1] = in_ref[k]
         levels[k] = [m, 0, 0]
     alpha_count = 0
@@ -130,9 +130,9 @@ def rde_build(space: MDSpace, field=FLOAT, min_orders: int = 1,
             off, below = ib - 1, co
 
     orders = {}
-    for rho in range(r):
+    for rho in range(top + 1):
         k = r - rho
-        sp = space.derivative_space(rho) if rho else space
+        sp = space.derivative_space(rho)
         level = _rows(levels[k])
         if level.shape != (sp.dimension, refs[k].dimension + 1):
             raise NumericalInconsistencyError(

@@ -196,9 +196,8 @@ class MDSpace:
         boundaries.append(self.q + 1)
         sections = tuple(self.restrict(j0, j1)
                          for j0, j1 in zip(boundaries, boundaries[1:]))
-        joins = tuple(JoinSpec(index=i, x=self.xs[i], continuity=self.continuities[i - 1])
-                      for i in boundaries[1:-1])
-        return SectionDecomposition(self, tuple(boundaries), sections, joins)
+        joins = tuple(JoinSpec(self.xs[i], self.continuities[i - 1]) for i in boundaries[1:-1])
+        return SectionDecomposition(tuple(boundaries), sections, joins)
 
     def restrict(self, j0: int, j1: int) -> "MDSpace":
         """Sub-space covering intervals j0..j1-1 (public restriction)."""
@@ -244,15 +243,13 @@ class MDSpace:
 
 @dataclass(frozen=True)
 class JoinSpec:
-    """A section boundary: breakpoint index (1-based), location and continuity."""
-    index: int
+    """A section boundary: its location and continuity."""
     x: float
     continuity: int
 
 
 @dataclass(frozen=True)
 class SectionDecomposition:
-    space: MDSpace
     boundaries: tuple[int, ...]        # 0 = j_0 < j_1 < ... < j_{v+1} = q+1
     sections: tuple[MDSpace, ...]      # one conventional space per section
     joins: tuple[JoinSpec, ...]        # left to right; joins[i] separates sections i, i + 1

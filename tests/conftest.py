@@ -42,6 +42,14 @@ def without_degree_one(space: MDSpace) -> MDSpace:
     return MDSpace.create((space.a, space.b), space.breakpoints, degrees, conts)
 
 
+# spaces with degree-0 intervals, from one interval to sections of degree 20
+DEGREE_ZERO_SAMPLE = [
+    unit_space((0,)), unit_space((1, 0, 1)), unit_space((0, 5, 0)),
+    unit_space((0, 3, 3, 0), (0, 3, 0)), unit_space((20, 0, 20)), unit_space((0, 2)),
+] + [sp for sp in (without_degree_one(random_space(seed, 4, 8)) for seed in range(40))
+     if sp.q and min(sp.degrees) == 0][:12]
+
+
 def internal_space(interval, breakpoints, degrees, continuities) -> MDSpace:
     """A checked internal space, whose raw orders may be negative."""
     space = MDSpace(*interval, breakpoints, degrees, continuities, internal=True)

@@ -14,11 +14,12 @@ import pytest
 
 from mdspline import (EXACT, FLOAT, MDSpace, Trace, build_matrix, build_matrix_derivative,
                       build_matrix_mixed, build_matrix_rde, build_matrix_rki, eval_basis)
-from conftest import random_space, unit_space, without_degree_one
+from conftest import DEGREE_ZERO_SAMPLE, random_space, without_degree_one
 from mdspline import assembler, oracle
 from mdspline.assembler import auto_plan, join_cost, rde_cost
 from mdspline.c0_engine import eval_c0_basis
 from mdspline.presets import PRESETS, table7
+from mdspline.rde_core import lowering_depth, rde_build
 
 
 def worked_space():
@@ -202,13 +203,6 @@ def test_rde_builds_degree_zero_sections():
                                    rtol=0, atol=1e-15), (degrees, bundle.strategy, x)
 
 
-DEGREE_ZERO_SAMPLE = [
-    unit_space((0,)), unit_space((1, 0, 1)), unit_space((0, 5, 0)),
-    unit_space((0, 3, 3, 0), (0, 3, 0)), unit_space((20, 0, 20)), unit_space((0, 2)),
-] + [sp for sp in (without_degree_one(random_space(seed, 4, 8)) for seed in range(40))
-     if sp.q and min(sp.degrees) == 0][:12]
-
-
 @pytest.mark.parametrize("sp", DEGREE_ZERO_SAMPLE, ids=str)
 def test_degree_zero_spaces_build_on_every_stable_route(sp):
     # exact rde and mixed bases equal rki at every multiple of 1/7, breakpoints
@@ -299,8 +293,9 @@ def test_alpha_counts_by_strategy():
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
 def test_integrals_are_carried(field):
-    # every order of every bundle carries the integrals of its basis, step by
-    # step: exactly the matrix times the reference integrals in rational
+    # every order of every bundle, and of a sweep that emits every order of
+    # its lowering depth, carries the integrals of its basis, step by step:
+    # exactly the matrix times the reference integrals in rational
     # arithmetic, within a few roundings in float
     if field is EXACT:
         spaces = [PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "table7")]
@@ -308,8 +303,10 @@ def test_integrals_are_carried(field):
         spaces = [f() for f in PRESETS.values()] + [random_space(s) for s in range(200)]
     checked = 0
     for sp in spaces:
-        for route in ("rki", "rde", "mixed"):
-            for rho, od in build_matrix(sp, route, field).orders.items():
+        bundles = {route: build_matrix(sp, route, field) for route in ("rki", "rde", "mixed")}
+        bundles["full-depth rde"] = rde_build(sp, field, lowering_depth(sp) - 1)
+        for route, bundle in bundles.items():
+            for rho, od in bundle.orders.items():
                 dot = od.matrix.dot(od.integrals0)
                 if field is EXACT:
                     assert list(od.integrals) == list(dot), (sp, route, rho)

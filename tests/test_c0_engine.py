@@ -22,6 +22,7 @@ from mdspline.assembler import build_matrix
 from mdspline.c0_engine import (c0_integrals, eval_c0_basis, eval_c0_derivatives,
                                 evaluable_partitions)
 from mdspline.presets import PRESETS, TABLE7_RANGE, table7
+from mdspline.rde_core import lowering_depth, rde_build
 
 
 def glued():
@@ -271,7 +272,7 @@ def evaluable_spaces():
     """Directly evaluable spaces around the presets, table7 and random spaces:
     their C0 spaces and those spaces' derivative spaces (zero slots and
     negative degrees included), the sections' derivative spaces and every
-    order's reference of rki and rde builds."""
+    order's reference of rki and rde builds and of a full-depth sweep."""
     out = {}
     for sp in ([f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE]
                + [random_space(s) for s in range(200)]):
@@ -279,8 +280,9 @@ def evaluable_spaces():
         found = [c0.derivative_space(rho) for rho in range(max(sp.degrees) + 2)]
         for sec in sp.section_decomposition().sections:
             found += [sec.derivative_space(rho) for rho in range(sec.degrees[0] + 2)]
-        for route in ("rki", "rde"):
-            found += [od.ref for od in build_matrix(sp, route).orders.values()]
+        for bundle in (build_matrix(sp, "rki"), build_matrix(sp, "rde"),
+                       rde_build(sp, FLOAT, lowering_depth(sp) - 1)):
+            found += [od.ref for od in bundle.orders.values()]
         for f in found:
             out[f.a, f.b, f.breakpoints, f.degrees, f.continuities] = f
     return list(out.values())

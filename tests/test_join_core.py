@@ -165,6 +165,17 @@ def test_kernels_keep_the_field_of_their_input(field):
         assert all(isinstance(v, field) for v in out.ravel())
 
 
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_eye_is_the_identity_slice_in_both_fields(field):
+    # n x cols, ones on the main diagonal only, for fewer, as many and more
+    # columns than rows: a sweep's integrals-only levels start as eye(n, 1)
+    for n, cols in [(3, 0), (3, 1), (3, 2), (3, None), (3, 3), (3, 5), (0, 2)]:
+        out = eye(n, field, cols)
+        assert out.dtype == dtype_of(field) and out.shape == np.eye(n, cols).shape, (n, cols)
+        assert out.tolist() == np.eye(n, cols).tolist(), (n, cols)
+        assert all(isinstance(v, field) for v in out.ravel()), (n, cols)
+
+
 @pytest.mark.parametrize("join", [cr_join, legacy_join])
 def test_joins_take_the_field_of_their_operands(join):
     left = section_bundle(MDSpace.create((0.0, 1.0), (), (2,), ()), FLOAT)

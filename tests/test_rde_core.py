@@ -9,14 +9,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_space, unit_space, without_degree_one
+from conftest import DEGREE_ZERO_SAMPLE, random_space, unit_space, without_degree_one
 from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
 from mdspline._scalars import eye
 from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
 from mdspline.errors import NumericalInconsistencyError
 from mdspline.join_core import LazyIntegrals, RKICoefficients, apply_bidiagonal
-from mdspline.presets import PRESETS, table7
+from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 from mdspline.rde_core import (level_space, lowering_depth, rde_build, rde_schedule,
                                window_start)
 
@@ -44,7 +44,7 @@ def test_step_windows_by_hand():
     sp = stepped()
     trace = Trace()
     bundle = rde_build(sp, EXACT, trace=trace)
-    assert len(bundle.orders) == 3      # r = 3: orders 0 .. r - 1
+    assert set(bundle.orders) == {0, 1} and lowering_depth(sp) == 3    # rows 0..3
     assert [(s.at, s.n) for s in trace.steps if s.k == 2] == \
         [((1, 3), 1), ((1, 2), 2), ((2, 3), 3)]
     windows = {(s.n, s.k): s.coefficients.window for s in trace.steps}
@@ -69,9 +69,11 @@ def test_highest_derivative_windows_by_hand():
 def test_ratio_mode_defaults():
     trace = Trace()
     bundle = rde_build(stepped(), EXACT, trace=trace)
-    assert len(bundle.orders) == 3  # r = max degree - 1
-    assert set(bundle.orders) == {0, 1, 2}
+    assert set(bundle.orders) == {0, 1}     # r = max degree - 1 = 3 rows above row 0
     assert {s.k for s in trace.steps} == {1, 2, 3}
+    # row 1 is order 2, which the build does not emit: it holds integrals only
+    assert {s.matrix.shape[1] for s in trace.steps if s.k == 1} == {0}
+    assert set(rde_build(stepped(), EXACT, 2).orders) == {0, 1, 2}
     assert bundle.orders[0].ref.degrees == (4, 4, 4)
     assert bundle.orders[0].ref.continuities == stepped().continuities
     assert bundle.matrix.shape == (7, 10)
@@ -99,8 +101,8 @@ def test_uniform_space_gives_identity():
     assert bundle.alpha_count == 0
 
 
-def test_min_orders_extends_emitted_orders():
-    bundle = rde_build(stepped(), FLOAT, min_orders=5)
+def test_top_extends_emitted_orders():
+    bundle = rde_build(stepped(), FLOAT, top=5)
     assert set(bundle.orders) == set(range(6))
     for rho, od in bundle.orders.items():
         assert od.matrix.shape[0] == stepped().dimension - rho
@@ -136,7 +138,7 @@ def test_lazy_integrals_cache():
 
 def test_lowering_depth():
     assert lowering_depth(stepped()) == 3           # max degree - 1
-    assert lowering_depth(stepped(), 5) == 6        # min_orders + 1
+    assert lowering_depth(stepped(), 5) == 6        # top + 1
     assert lowering_depth(MDSpace.create((0.0, 1.0), (), (1,), ())) == 2
 
 
@@ -149,7 +151,7 @@ def test_cost_model_counts_the_sweep():
         spaces += [sp for sp in [without_degree_one(spaces[0])] if min(sp.degrees) == 0]
         for sp in spaces:
             for k in range(1, max(sp.degrees) + 1):
-                assert rde_cost(sp.degrees) == rde_build(sp, FLOAT, min_orders=k).alpha_count, \
+                assert rde_cost(sp.degrees) == rde_build(sp, FLOAT, top=k).alpha_count, \
                     (seed, sp, k)
                 cases += 1
     assert cases == 1920 + 828
@@ -229,10 +231,10 @@ def test_steps_replay_on_the_dense_level(space, field):
     # each traced lowering step at row k acts on the level that the dense
     # kernel, run on the whole previous level of row k, makes; the last one
     # makes the order's matrix. The steps write their levels in place, moving
-    # the rows no step has reached yet, and must keep every bit.
-    trace = Trace()
-    bundle = rde_build(space, field, trace=trace)
-    r = lowering_depth(space)
+    # the rows no step has reached yet, and must keep every bit. Emitting
+    # orders 0..r - 1 keeps a matrix in every row above row 0.
+    trace, r = Trace(), lowering_depth(space)
+    bundle = rde_build(space, field, r - 1, trace)
     assert len(trace.steps) == r * len(rde_schedule(space))
     for k in range(1, r + 1):
         order = bundle.orders[r - k]
@@ -246,6 +248,62 @@ def test_steps_replay_on_the_dense_level(space, field):
 def assert_same(got, want, field, where):
     cells = (lambda m: (m.dtype, m.tobytes())) if field is FLOAT else (lambda m: list(m.ravel()))
     assert (got.shape, cells(got)) == (want.shape, cells(want)), where
+
+
+SWEPT_DEGREE_ZERO = [sp for sp in DEGREE_ZERO_SAMPLE if sp.q]     # (0) is a section
+RULE_SPACES = ([f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE]
+               + [random_space(s) for s in range(200)] + SWEPT_DEGREE_ZERO)
+EXACT_RULE_SPACES = ([PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "test6")]
+                     + [table7(5), table7(9)] + [random_space(s, 3, 5) for s in range(20)]
+                     + SWEPT_DEGREE_ZERO)
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_unread_rows_leave_the_build_unchanged(field):
+    # a default sweep keeps a matrix only in the rows of orders 0 and 1; its
+    # steps, its coefficient count and those orders equal, bit for bit in
+    # float and exactly in Fraction, those of a sweep that keeps one in every row
+    for sp in RULE_SPACES if field is FLOAT else EXACT_RULE_SPACES:
+        got, want, r = Trace(), Trace(), lowering_depth(sp)
+        bundle, full = rde_build(sp, field, trace=got), rde_build(sp, field, r - 1, want)
+        assert [(s.at, s.n, s.k, repr(s.coefficients)) for s in got.steps] == \
+            [(s.at, s.n, s.k, repr(s.coefficients)) for s in want.steps], sp
+        assert bundle.alpha_count == full.alpha_count, sp
+        assert set(bundle.orders) == {0, 1} and len(full.orders) == r, sp
+        for rho in (0, 1):
+            a, b = bundle.orders[rho], full.orders[rho]
+            assert a.ref == b.ref, (sp, rho)
+            for x, y in ((a.matrix, b.matrix), (a.integrals, b.integrals),
+                         (a.integrals0, b.integrals0)):
+                assert_same(x, y, field, (sp, rho))
+
+
+def test_unread_rows_hold_one_column(monkeypatch):
+    # row k keeps a matrix only if the sweep emits its order r - k: every other
+    # row, row 0 among them, is one column of integrals after every step, and
+    # its traced steps record a matrix with no columns
+    lower, widths = rde_core._lower, []
+
+    def recording(level, co):
+        out = lower(level, co)
+        widths.append(level[0].shape[1])
+        return out
+
+    monkeypatch.setattr(rde_core, "_lower", recording)
+    thin = 0
+    for sp in RULE_SPACES:
+        for top in (0, 1, lowering_depth(sp) - 1):
+            widths.clear()
+            trace, r = Trace(), lowering_depth(sp, top)
+            rde_build(sp, FLOAT, top, trace)
+            assert len(widths) == (r + 1) * len(rde_schedule(sp)), sp
+            for n, width in enumerate(widths):
+                k = n % (r + 1)
+                assert (width == 1) == (k < r - max(top, 1)), (sp, top, k)
+                thin += 0 < k < r - max(top, 1)
+            for s in trace.steps:
+                assert (s.matrix.shape[1] == 0) == (s.k < r - max(top, 1)), (sp, top, s.k)
+    assert thin > 0
 
 
 def test_step_left_of_the_stepped_rows_is_rejected():
