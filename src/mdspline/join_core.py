@@ -31,34 +31,30 @@ class RKICoefficients:
     beta(i) = 0 below and 1 above, so that row i of the combined basis is
     alpha(i) * row i + beta(i+1) * row i+1 of the finer one. Degenerate windows
     encode the two boundary cases of a vanishing function count: ib = ie + 1
-    merges rows ie and ie + 1, while ib >= ie + 2 drops row ie + 1.
+    merges rows ie and ie + 1, while ib >= ie + 2 drops row ie + 1 and is
+    stored as ib = ie + 2.
     """
     ib: int
     ie: int
     alphas: tuple
     betas: tuple
 
+    def __post_init__(self):
+        self.ib = min(self.ib, self.ie + 2)
+
     def alpha(self, i: int):
-        ib_eff = min(self.ib, self.ie + 2)
-        if i <= min(ib_eff - 1, self.ie):
+        if i <= min(self.ib - 1, self.ie):
             return 1
         if self.ib <= i <= self.ie:
             return self.alphas[i - self.ib]
         return 0
 
     def beta(self, i: int):
-        ib_eff = min(self.ib, self.ie + 2)
-        if i < ib_eff:
+        if i < self.ib:
             return 0
         if self.ib <= i <= self.ie:
             return self.betas[i - self.ib]
         return 1
-
-    def values(self, lo: int, hi: int) -> tuple[tuple, tuple]:
-        """(alpha(lo), ..., alpha(hi)) and (beta(lo), ..., beta(hi)); hi >= lo - 1."""
-        ib_eff, n, w = min(self.ib, self.ie + 2), hi - lo + 1, max(lo - self.ib, 0)
-        return (((1,) * (min(ib_eff - 1, self.ie) - lo + 1) + self.alphas[w:] + (0,) * n)[:n],
-                ((0,) * (ib_eff - lo) + self.betas[w:] + (1,) * n)[:n])
 
     def shifted(self, by: int) -> "RKICoefficients":
         """The same step on rows numbered `by` higher."""
@@ -73,24 +69,6 @@ class RKICoefficients:
         return len(self.alphas)
 
 
-def make_coefficients(ib: int, ie: int, alphas, betas, field) -> RKICoefficients:
-    alphas, betas, exact = tuple(alphas), tuple(betas), is_exact(field)
-    if len(alphas) != len(betas) or len(alphas) != max(0, ie - ib + 1):
-        raise ValueError("window size does not match coefficient count")
-    for a, b in zip(alphas, betas):
-        if exact:
-            if a + b != 1:
-                raise NumericalInconsistencyError(f"alpha + beta != 1 exactly: {a} + {b}")
-            if not (0 < a <= 1 and 0 <= b < 1):
-                raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
-        else:
-            if not (0.0 < a <= 1.0 + 1e-12 and -1e-12 <= b <= 1.0):
-                raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
-            if abs(a + b - 1.0) > PAIR_SUM_TOL:
-                raise NumericalInconsistencyError(f"alpha + beta = {a + b} drifts from 1")
-    return RKICoefficients(ib, ie, alphas, betas)
-
-
 def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients) -> np.ndarray:
     """Combine adjacent rows: out[i] = alpha(i) * in[i] + beta(i+1) * in[i+1].
 
@@ -101,7 +79,7 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients) -> np.ndarray:
     or keeps its zero: the rows are narrow bands, so most cells are zero. Floats
     keep the numpy broadcast, where a test per cell costs more than a multiply.
     """
-    lo, hi, field = max(min(co.ib, co.ie + 2) - 1, 1), co.ie, field_of(matrix)
+    lo, hi, field = max(co.ib - 1, 1), co.ie, field_of(matrix)
     dtype = dtype_of(field)
     out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype)
     if lo > 1:
@@ -265,31 +243,46 @@ def section_bundle(section: MDSpace, field=FLOAT, top: int | None = None) -> Bun
     return Bundle(section, orders, field)
 
 
-def _check_positive(value):
-    """Zero and negatives fail in both fields, and so does NaN in floats."""
-    if not value > 0:
-        raise NumericalInconsistencyError(f"basis integral is not positive: {value!r}")
-
-
 def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre: np.ndarray,
-                       post: np.ndarray, off: int = 1) -> RKICoefficients:
+                       post: np.ndarray) -> RKICoefficients:
     """Coefficients on window ib..ie of the step above `below`, free of subtraction:
 
         alpha_i = below.alpha(i-1) * pre(i-1) / post(i-1)
         beta_i  = below.beta(i)    * pre(i)   / post(i-1)
 
-    where pre(i) = pre[i - off] and post(i) = post[i - off] are the basis
-    integrals of the levels before and after `below`, from arrays that start
-    at index off, in the field of `post`.
+    where pre(i) = pre[i - ib + 1] and post(i) = post[i - ib + 1] are the basis
+    integrals, from row ib - 1 on, of the levels before and after `below`, in
+    the field of `post`. The step contract: `below` acts on ib..ie - 1 and
+    ib >= 2, so below.alpha(ib - 1..ie - 1) = (1,) + below.alphas and
+    below.beta(ib..ie) = below.betas + (1,). Each pair is checked as it is made.
     """
-    a_below, b_below = below.values(ib - 1, ie)
-    pres = pre[ib - 1 - off:ie + 1 - off].tolist()
+    if ib < 2 or below.window != (ib, ie - 1):
+        raise NumericalInconsistencyError(
+            f"window {(ib, ie)} is not above the step below, on {below.window}")
+    n = ie - ib + 1
+    pres, posts = pre[:n + 1].tolist(), post[:n].tolist()
+    if len(pres) != n + 1 or len(posts) != n:
+        raise ValueError(f"window size {n} exceeds the integrals: {len(pres)} and {len(posts)}")
+    exact = is_exact(field_of(post))
     alphas, betas = [], []
-    for n, den in enumerate(post[ib - 1 - off:ie - off].tolist()):
-        _check_positive(den)
-        alphas.append(a_below[n] * pres[n] / den)
-        betas.append(b_below[n + 1] * pres[n + 1] / den)
-    return make_coefficients(ib, ie, alphas, betas, field_of(post))
+    for a_below, b_below, p, q, den in zip((1,) + below.alphas, below.betas + (1,),
+                                           pres, pres[1:], posts):
+        if not den > 0:     # zero and negatives in both fields, and NaN in floats
+            raise NumericalInconsistencyError(f"basis integral is not positive: {den!r}")
+        a, b = a_below * p / den, b_below * q / den
+        if exact:
+            if a + b != 1:
+                raise NumericalInconsistencyError(f"alpha + beta != 1 exactly: {a} + {b}")
+            if not (0 < a <= 1 and 0 <= b < 1):
+                raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
+        else:
+            if not (0.0 < a <= 1.0 + 1e-12 and -1e-12 <= b <= 1.0):
+                raise NumericalInconsistencyError(f"coefficient out of range: {a}, {b}")
+            if abs(a + b - 1.0) > PAIR_SUM_TOL:
+                raise NumericalInconsistencyError(f"alpha + beta = {a + b} drifts from 1")
+        alphas.append(a)
+        betas.append(b)
+    return RKICoefficients(ib, ie, tuple(alphas), tuple(betas))
 
 
 def _seam_block(lo: OrderData, ro: OrderData, n: int) -> np.ndarray:
@@ -349,7 +342,8 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
         block = _seam_block(lo, ro, n)
         ints = [sides, block[:, -1]]
         for k in range(1, n + 1):
-            co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1], pre[k])
+            co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1][n - k:],
+                                    pre[k][n - k:])
             alpha_count += co.nontrivial_count
             cos.append(co)
             if trace is not None:

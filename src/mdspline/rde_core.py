@@ -6,14 +6,15 @@ The construction runs on a rectangular family of spaces: row k holds the
 itself. Each lowering step is a bidiagonal row combination whose window sits
 over the affected interval; its coefficients follow from the row below by the
 same integral ratio recurrence used for continuity-raising joins, which reads
-only the integrals of the row below. So a row carries a matrix only if the
-build emits its order, 0..max(top, 1); every other row, row 0 among them, is a
-level of one column, its integrals. r is at least the maximum degree minus one,
-so row 0's windows are empty. Each level is one array, written in place: steps
-run left to right, and a row no step has reached only moves up. Rows start as
-the identity and a step only merges adjacent rows or drops one, so row i of a
-level that has lost `gone` rows lies in columns i .. i + gone: a step combines
-only those columns of its rows, and the integral column.
+only the integrals of the row below: row k's window starts where row k - 1's
+does and ends one row later. So a row carries a matrix only if the build emits
+its order, 0..max(top, 1); every other row is a level of one column, its
+integrals. r = max(top, 1, maximum degree - 1), so row 0's windows are empty.
+Each level is one array, written in place: steps run left to right, and a row
+no step has reached only moves up. Rows start as the identity and a step only
+merges adjacent rows or drops one, so row i of a level that has lost `gone`
+rows lies in columns i .. i + gone: a step combines only those columns of its
+rows, and the integral column.
 At h = 0 every window is empty: row k's ends at ie = ib - 1 - (r - k) < ib.
 """
 
@@ -38,9 +39,10 @@ def rde_schedule(space: MDSpace) -> list[tuple[int, int]]:
 
 
 def lowering_depth(space: MDSpace, top: int = 1) -> int:
-    """Row count r of the lowering rectangle: at least the maximum degree minus
-    one, so that row 0 has empty windows, and enough to emit orders 0..top."""
-    return max(2, max(space.degrees) - 1, top + 1)
+    """Row count r of the lowering rectangle, rows 0..r: enough to emit orders
+    0..max(top, 1), and at least the maximum degree minus one, so that row 0
+    has empty windows."""
+    return max(top, 1, max(space.degrees) - 1)
 
 
 def level_space(space: MDSpace, degrees, drop: int) -> MDSpace:
@@ -66,7 +68,7 @@ def _degenerate(ib_raw: int, ie_raw: int, pre_rows: int) -> RKICoefficients:
     ie = max(ie_raw, 0)
     if ie + 1 > pre_rows or (ib_raw == ie_raw + 1 and ie < 1):
         raise NumericalInconsistencyError("degenerate window out of range")
-    return RKICoefficients(min(ib_raw, ie + 2), ie, (), ())
+    return RKICoefficients(ib_raw, ie, (), ())
 
 
 def _rows(level) -> np.ndarray:
@@ -80,7 +82,7 @@ def _lower(level, co: RKICoefficients):
     integral column of rows lo..ie+1 (lo as in apply_bidiagonal) and of the rows
     they make, or None twice if the step only drops row ie + 1."""
     m, done, gone = level
-    shift = max(min(co.ib, co.ie + 2) - 1, 1) - 1
+    shift = max(co.ib - 1, 1) - 1
     if done > co.ie + 1:
         raise NumericalInconsistencyError(f"lowering step at row {co.ie} after row {done}")
     m[done:co.ie + 1] = m[done + gone:co.ie + 1 + gone]     # rows done..ie to their own index
@@ -121,13 +123,13 @@ def rde_build(space: MDSpace, field=FLOAT, top: int = 1,
             if ib > ie:
                 co = _degenerate(ib, ie, len(levels[k][0]) - levels[k][2])
             else:
-                co = ratio_coefficients(ib, ie, below, pre, post, off)
+                co = ratio_coefficients(ib, ie, below, pre, post)
                 alpha_count += co.nontrivial_count
             if trace is not None and k:
                 trace.steps.append(Step("lower", (j, h), n, k, co,
                                         _rows(levels[k])[:, :-1], in_ref[k]))
             pre, post = _lower(levels[k], co)
-            off, below = ib - 1, co
+            below = co
 
     orders = {}
     for rho in range(top + 1):

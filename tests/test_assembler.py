@@ -304,7 +304,7 @@ def test_integrals_are_carried(field):
     checked = 0
     for sp in spaces:
         bundles = {route: build_matrix(sp, route, field) for route in ("rki", "rde", "mixed")}
-        bundles["full-depth rde"] = rde_build(sp, field, lowering_depth(sp) - 1)
+        bundles["full-depth rde"] = rde_build(sp, field, lowering_depth(sp))
         for route, bundle in bundles.items():
             for rho, od in bundle.orders.items():
                 dot = od.matrix.dot(od.integrals0)

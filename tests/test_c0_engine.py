@@ -281,7 +281,7 @@ def evaluable_spaces():
         for sec in sp.section_decomposition().sections:
             found += [sec.derivative_space(rho) for rho in range(sec.degrees[0] + 2)]
         for bundle in (build_matrix(sp, "rki"), build_matrix(sp, "rde"),
-                       rde_build(sp, FLOAT, lowering_depth(sp) - 1)):
+                       rde_build(sp, FLOAT, lowering_depth(sp))):
             found += [od.ref for od in bundle.orders.values()]
         for f in found:
             out[f.a, f.b, f.breakpoints, f.degrees, f.continuities] = f

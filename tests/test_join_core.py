@@ -20,7 +20,7 @@ from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
 from mdspline._scalars import dtype_of, eye, zeros
 from mdspline.join_core import (RKICoefficients, apply_bidiagonal, block_diag,
                                 c0_join_integrals, c0_join_matrices,
-                                join_spaces, make_coefficients)
+                                join_spaces, ratio_coefficients)
 from mdspline.legacy import legacy_join
 from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 
@@ -31,23 +31,6 @@ def test_accessor_plain_window():
     assert [co.beta(i) for i in range(1, 5)] == [0, F(2, 3), F(3, 5), 1]
     assert co.window == (2, 3)
     assert co.nontrivial_count == 2
-
-
-def test_range_reader_matches_the_accessors():
-    # values(lo, hi) reads by slices what alpha(i) and beta(i) give one index
-    # at a time, on every window up to ib = 8, degenerate ones included
-    for ib in range(9):
-        for ie in range(-1, 8):
-            n = max(0, ie - ib + 1)
-            co = RKICoefficients(ib, ie, tuple(F(1, i + 2) for i in range(n)),
-                                 tuple(F(i + 1, i + 2) for i in range(n)))
-            for lo in range(-1, 11):
-                for hi in range(lo - 1, 11):
-                    alphas, betas = co.values(lo, hi)
-                    assert list(alphas) == [co.alpha(i) for i in range(lo, hi + 1)], \
-                        (ib, ie, lo, hi)
-                    assert list(betas) == [co.beta(i) for i in range(lo, hi + 1)], \
-                        (ib, ie, lo, hi)
 
 
 def test_accessor_merge():
@@ -65,14 +48,55 @@ def test_accessor_drop():
     assert np.array_equal(out, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
-def test_make_coefficients_validates():
-    make_coefficients(2, 2, [F(1, 2)], [F(1, 2)], EXACT)
-    with pytest.raises(NumericalInconsistencyError):
-        make_coefficients(2, 2, [F(1, 2)], [F(1, 3)], EXACT)
-    with pytest.raises(NumericalInconsistencyError):
-        make_coefficients(2, 2, [F(3, 2)], [F(-1, 2)], EXACT)
-    with pytest.raises(NumericalInconsistencyError):
-        make_coefficients(2, 2, [0.5], [0.5 + 1e-9], FLOAT)
+def _ratio(below, pre, post, ib=2, ie=2):
+    dtype = object if isinstance(post[0], F) else float
+    return ratio_coefficients(ib, ie, below, np.array(pre, dtype=dtype),
+                              np.array(post, dtype=dtype))
+
+
+def test_ratio_coefficients_checks_each_pair():
+    # above an empty step on (2, 1), alpha_2 = pre(1) / post(1) and
+    # beta_2 = pre(2) / post(1): crafted integrals break each check in turn
+    below = RKICoefficients(2, 1, (), ())
+    assert _ratio(below, [F(1), F(1)], [F(2)]).alphas == (F(1, 2),)
+    for pre, post, match in [([F(1), F(1)], [F(3)], "!= 1 exactly"),        # 1/3 + 1/3
+                             ([F(3), F(-1)], [F(2)], "out of range"),       # 3/2 - 1/2
+                             ([3.0, -1.0], [2.0], "out of range"),
+                             ([1.0, 1.0 + 2e-9], [2.0], "drifts from 1")]:
+        with pytest.raises(NumericalInconsistencyError, match=match):
+            _ratio(below, pre, post)
+
+
+def test_ratio_coefficients_need_the_step_below():
+    # the step below acts on (ib, ie - 1), and ib >= 2 so that row ib - 1 exists
+    pre, post = [F(1)] * 3, [F(3, 2)] * 2
+    assert _ratio(RKICoefficients(2, 2, (F(1, 2),), (F(1, 2),)), pre, post, 2, 3).window == (2, 3)
+    for below, ib, ie in [(RKICoefficients(2, 3, (F(1, 2),) * 2, (F(1, 2),) * 2), 2, 3),
+                          (RKICoefficients(3, 2, (), ()), 2, 3),
+                          (RKICoefficients(4, 2, (), ()), 2, 3),    # a drop
+                          (RKICoefficients(1, 0, (), ()), 1, 1)]:
+        with pytest.raises(NumericalInconsistencyError, match="step below"):
+            _ratio(below, pre, post, ib, ie)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ratio_coefficients_follow_the_accessors(data):
+    # an exact step on (ib, ie - 1) and positive integrals pre from row ib - 1;
+    # post is that step applied to pre, so the step above must pass its checks
+    # and give what the recurrence, read through the accessors, gives
+    ib = data.draw(st.integers(2, 6))
+    ie = ib + data.draw(st.integers(0, 5))
+    alphas = tuple(F(data.draw(st.integers(1, 20)), 20) for _ in range(ib, ie))
+    below = RKICoefficients(ib, ie - 1, alphas, tuple(1 - a for a in alphas))
+    pre = {i: F(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 7)))
+           for i in range(ib - 1, ie + 1)}
+    post = {i: below.alpha(i) * pre[i] + below.beta(i + 1) * pre[i + 1] for i in range(ib - 1, ie)}
+    co = _ratio(below, list(pre.values()), list(post.values()), ib, ie)
+    assert co.window == (ib, ie)
+    assert co.alphas == tuple(below.alpha(i - 1) * pre[i - 1] / post[i - 1]
+                              for i in range(ib, ie + 1))
+    assert co.betas == tuple(below.beta(i) * pre[i] / post[i - 1] for i in range(ib, ie + 1))
 
 
 def dense_step(co, m, field):
@@ -82,6 +106,21 @@ def dense_step(co, m, field):
         dense[i - 1, i - 1] = co.alpha(i)
         dense[i - 1, i] = co.beta(i + 1)
     return dense
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_drop_is_stored_at_its_least_start(field):
+    # every ib >= ie + 2 drops row ie + 1; the step stores ib = ie + 2, and the
+    # kernel makes what the dense matrix of its accessors makes
+    for ie in range(5):
+        for ib in range(ie + 2, ie + 6):
+            co = RKICoefficients(ib, ie, (), ())
+            assert co.window == (ie + 2, ie) and co == RKICoefficients(ie + 2, ie, (), ())
+            for m in range(ie + 2, ie + 5):
+                mat = np.array([[field(3 * i + j + 1) for j in range(3)] for i in range(m)],
+                               dtype=dtype_of(field))
+                want = dense_step(co, m, field).dot(mat)
+                assert apply_bidiagonal(mat, co).tolist() == want.tolist(), (ib, ie, m)
 
 
 @settings(max_examples=200, deadline=None)

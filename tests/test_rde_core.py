@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DEGREE_ZERO_SAMPLE, random_space, unit_space, without_degree_one
-from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core
+from mdspline import EXACT, FLOAT, MDSpace, Trace, rde_core, section_bundle
 from mdspline._scalars import eye
 from mdspline.assembler import auto_plan, rde_cost
 from mdspline.c0_engine import c0_integrals
@@ -137,9 +137,31 @@ def test_lazy_integrals_cache():
 
 
 def test_lowering_depth():
+    # rows 0..r: orders 0..max(top, 1), and row 0's windows empty
     assert lowering_depth(stepped()) == 3           # max degree - 1
-    assert lowering_depth(stepped(), 5) == 6        # top + 1
-    assert lowering_depth(MDSpace.create((0.0, 1.0), (), (1,), ())) == 2
+    assert lowering_depth(stepped(), 5) == 5        # top
+    assert lowering_depth(MDSpace.create((0.0, 1.0), (), (1,), ())) == 1
+    assert lowering_depth(MDSpace.create((0.0, 1.0), (), (0,), ())) == 1
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_degree_zero_sweep_is_the_section_bundle(field):
+    # with every degree 0 nothing is lowered: the sweep of depth 1 returns
+    # the orders 0 and 1 of the section bundle, references and integrals too
+    # (a sweep's references are internal spaces)
+    def described(ref):
+        return ref.a, ref.b, ref.breakpoints, ref.degrees, ref.continuities
+
+    for sp in (MDSpace.create((0.0, 1.0), (), (0,), ()),
+               MDSpace.create((0.0, 2.0), (1.0,), (0, 0), (0,))):
+        bundle, section = rde_build(sp, field), section_bundle(sp, field, 1)
+        assert set(bundle.orders) == set(section.orders) == {0, 1}, sp
+        for rho, want in section.orders.items():
+            got = bundle.orders[rho]
+            assert described(got.ref) == described(want.ref), (sp, rho)
+            for x, y in ((got.matrix, want.matrix), (got.integrals0, want.integrals0),
+                         (got.integrals, want.integrals)):
+                assert_same(x, y, field, (sp, rho))
 
 
 def test_cost_model_counts_the_sweep():
@@ -265,11 +287,11 @@ def test_unread_rows_leave_the_build_unchanged(field):
     # float and exactly in Fraction, those of a sweep that keeps one in every row
     for sp in RULE_SPACES if field is FLOAT else EXACT_RULE_SPACES:
         got, want, r = Trace(), Trace(), lowering_depth(sp)
-        bundle, full = rde_build(sp, field, trace=got), rde_build(sp, field, r - 1, want)
+        bundle, full = rde_build(sp, field, trace=got), rde_build(sp, field, r, want)
         assert [(s.at, s.n, s.k, repr(s.coefficients)) for s in got.steps] == \
             [(s.at, s.n, s.k, repr(s.coefficients)) for s in want.steps], sp
         assert bundle.alpha_count == full.alpha_count, sp
-        assert set(bundle.orders) == {0, 1} and len(full.orders) == r, sp
+        assert set(bundle.orders) == {0, 1} and len(full.orders) == r + 1, sp
         for rho in (0, 1):
             a, b = bundle.orders[rho], full.orders[rho]
             assert a.ref == b.ref, (sp, rho)

@@ -18,7 +18,7 @@ def test_no_assert_statements():
 def test_kernels_read_the_field_from_their_inputs():
     # a function given arrays or bundles reads the scalar field from them; only
     # those that make scalars from a space or from plain numbers take `field`
-    makers = {"make_coefficients", "section_bundle", "rde_build"}
+    makers = {"section_bundle", "rde_build"}
     takers = {node.name
               for name in ("join_core", "rde_core", "legacy", "oracle")
               for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))

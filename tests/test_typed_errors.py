@@ -10,12 +10,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
+from mdspline import (FLOAT, MDSpace, NumericalInconsistencyError,
                       SpaceValidationError, UnsupportedSpaceError, build_matrix,
                       cr_join, eval_basis, greville, section_bundle)
 from mdspline.c0_engine import c0_integrals, eval_c0_derivatives
 from mdspline.join_core import (Bundle, OrderData, RKICoefficients, c0_join_matrices,
-                                make_coefficients, ratio_coefficients)
+                                ratio_coefficients)
 from mdspline.presets import preset_space, table7
 
 TWO_SECTIONS = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 2, 3), (2, 1))
@@ -65,7 +65,9 @@ CASES = {
     "table7 continuity above both degrees": (
         lambda: table7(20), ValueError, "out of range"),
     "window wider than its coefficients": (
-        lambda: make_coefficients(2, 3, (F(1, 2),), (F(1, 2),), EXACT),
+        # window (2, 3) needs integrals of rows 1..3 before and 1..2 after
+        lambda: ratio_coefficients(2, 3, RKICoefficients(2, 2, (F(1, 2),), (F(1, 2),)),
+                                   np.ones(2, dtype=object), np.ones(1, dtype=object)),
         ValueError, "window size"),
     "exact corners that disagree": (
         lambda: c0_join_matrices(np.array([[F(1)]], dtype=object),
