@@ -104,24 +104,6 @@ def c0_join_integrals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.concatenate([left[:-1], [left[-1] + right[0]], right[1:]])
 
 
-def c0_join_matrices(left: np.ndarray, right: np.ndarray, extra: int = 0) -> np.ndarray:
-    """Block-join two matrices with a single shared corner entry, then `extra`
-    zero columns, in the field of `left`."""
-    la, lb = left.shape
-    ra, rb = right.shape
-    corner_l, corner_r, field = left[-1, -1], right[0, 0], field_of(left)
-    if is_exact(field):
-        if corner_l != corner_r:
-            raise NumericalInconsistencyError("seam entries disagree exactly")
-    elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
-        raise NumericalInconsistencyError(
-            f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
-    out = zeros((la + ra - 1, lb + rb - 1 + extra), field)
-    out[:la, :lb] = left
-    out[la - 1:, lb - 1:lb + rb - 1] = right
-    return out
-
-
 def block_diag(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     la, lb = left.shape
     ra, rb = right.shape
@@ -205,14 +187,6 @@ class Trace:
     steps: list[Step] = dc_field(default_factory=list)
 
 
-def _glue_step(seam, n: int, lo: OrderData, ro: OrderData) -> Step:
-    """The C0 gluing as a step: merge the seam rows of the operands side by side."""
-    kl = lo.matrix.shape[0]
-    return Step("join", seam, n, 0, RKICoefficients(kl + 1, kl, (), ()),
-                block_diag(lo.matrix, ro.matrix),
-                np.concatenate([lo.integrals0, ro.integrals0]))
-
-
 class LazyIntegrals:
     """Per-index integrals of a represented basis: row of M dotted with IN0. The
     builds carry theirs; `perfbench` counts `value` calls as the integral dots."""
@@ -285,14 +259,25 @@ def ratio_coefficients(ib: int, ie: int, below: RKICoefficients, pre: np.ndarray
     return RKICoefficients(ib, ie, tuple(alphas), tuple(betas))
 
 
-def _seam_block(lo: OrderData, ro: OrderData, n: int) -> np.ndarray:
+def _glue(lo: OrderData, ro: OrderData, n: int) -> np.ndarray:
     """Rows a - n .. a + n of the C0 gluing of the operands (a left rows), which
     the n steps of join row n combine, with their integrals as a last column.
-    Bidiagonal steps and gluings keep row i of a level inside columns
+    The seam corners must agree, exactly in `Fraction`s and to OVERLAP_TOL in
+    floats. Bidiagonal steps and gluings keep row i of a level inside columns
     i .. i + (columns - rows), which bounds the block's columns."""
     (a, _), (kr, cr) = lo.matrix.shape, ro.matrix.shape
-    block = c0_join_matrices(lo.matrix[a - n - 1:, a - n - 1:],
-                             ro.matrix[:n + 1, :n + 1 + cr - kr], 1)
+    left, right = lo.matrix[a - n - 1:, a - n - 1:], ro.matrix[:n + 1, :n + 1 + cr - kr]
+    corner_l, corner_r, field = left[-1, -1], right[0, 0], field_of(left)
+    if is_exact(field):
+        if corner_l != corner_r:
+            raise NumericalInconsistencyError("seam entries disagree exactly")
+    elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
+        raise NumericalInconsistencyError(
+            f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
+    (la, lb), (ra, rb) = left.shape, right.shape
+    block = zeros((la + ra - 1, lb + rb), field)
+    block[:la, :lb] = left
+    block[la - 1:, lb - 1:-1] = right
     block[:, -1] = c0_join_integrals(lo.integrals[a - n - 1:], ro.integrals[:n + 1])
     return block
 
@@ -336,10 +321,12 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
         lo, ro = left.orders[r - n], right.orders[r - n]
         in0 = c0_join_integrals(lo.integrals0, ro.integrals0)
         cos = [RKICoefficients(n + 2, n + 1, (), ())]
-        if trace is not None:
-            trace.steps.append(_glue_step(seam, n, lo, ro))
+        if trace is not None:       # the gluing merges the seam rows of both operands
+            trace.steps.append(Step("join", seam, n, 0, cos[0].shifted(base),
+                                    block_diag(lo.matrix, ro.matrix),
+                                    np.concatenate([lo.integrals0, ro.integrals0])))
         sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
-        block = _seam_block(lo, ro, n)
+        block = _glue(lo, ro, n)
         ints = [sides, block[:, -1]]
         for k in range(1, n + 1):
             co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1][n - k:],

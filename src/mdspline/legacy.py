@@ -15,9 +15,8 @@ import numpy as np
 from ._scalars import field_of
 from .c0_engine import eval_c0_derivatives, evaluable_partitions
 from .errors import NumericalInconsistencyError
-from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
-                        apply_bidiagonal, c0_join_integrals, c0_join_matrices,
-                        join_spaces)
+from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace, _glue,
+                        _join_level, apply_bidiagonal, c0_join_integrals, join_spaces)
 from .spaces import MDSpace
 
 
@@ -56,7 +55,7 @@ def legacy_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = No
     l0, r0 = left.orders[0], right.orders[0]
     seam = left.space.b
     kl = l0.matrix.shape[0]
-    matrix = c0_join_matrices(l0.matrix, r0.matrix)
+    matrix = _join_level(l0, r0, 0, _glue(l0, r0, 0))
     ref = join_spaces(l0.ref, r0.ref, 0)
     in0 = c0_join_integrals(l0.integrals0, r0.integrals0)
     for k in range(1, r + 1):

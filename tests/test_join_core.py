@@ -18,9 +18,9 @@ from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       SpaceValidationError, Trace, assembler, build_matrix, cr_join,
                       join_core, section_bundle)
 from mdspline._scalars import dtype_of, eye, zeros
-from mdspline.join_core import (RKICoefficients, apply_bidiagonal, block_diag,
-                                c0_join_integrals, c0_join_matrices,
-                                join_spaces, ratio_coefficients)
+from mdspline.join_core import (OVERLAP_TOL, OrderData, RKICoefficients, apply_bidiagonal,
+                                block_diag, c0_join_integrals, join_spaces,
+                                ratio_coefficients)
 from mdspline.legacy import legacy_join
 from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 
@@ -183,23 +183,44 @@ def test_c0_join_integrals():
         == [1.0, 5.0, 4.0]
 
 
-def test_c0_join_matrices_identities():
-    out = c0_join_matrices(np.eye(2), np.eye(3))
-    assert np.array_equal(out, np.eye(4))
+def order(matrix):
+    """An operand order with `matrix` and its row sums as integrals."""
+    return OrderData(matrix, None, matrix.sum(axis=1), matrix.sum(axis=1))
 
 
-def test_c0_join_matrices_corner_disagreement():
+def glued(left, right, n=0):
+    """The level of join row n right after the C0 gluing of two matrices."""
+    lo, ro = order(left), order(right)
+    return join_core._join_level(lo, ro, n, join_core._glue(lo, ro, n))
+
+
+def test_glued_identities_are_the_identity():
+    # any row n of the join cuts its seam block from the same gluing
+    for n in (0, 1):
+        assert np.array_equal(glued(np.eye(2), np.eye(3), n), np.eye(4)), n
+    assert join_core._glue(order(np.eye(2)), order(np.eye(3)), 1)[:, -1].tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("corner", [0.5, 1 + 3 * OVERLAP_TOL, 1 - 3 * OVERLAP_TOL],
+                         ids=["half", "above", "below"])
+def test_glue_corner_disagreement(corner):
+    # the seam corners of float operands agree to OVERLAP_TOL or the gluing
+    # raises, in every row of the join; a drift within it glues
     left = np.eye(2)
-    left[1, 1] = 0.5
-    with pytest.raises(NumericalInconsistencyError):
-        c0_join_matrices(left, np.eye(2))
+    left[1, 1] = corner
+    for n in (0, 1):
+        with pytest.raises(NumericalInconsistencyError, match="seam entries disagree: "):
+            glued(left, np.eye(2), n)
+    left[1, 1] = 1 + OVERLAP_TOL / 2
+    assert glued(left, np.eye(2))[1, 1] == 1.0
 
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
 def test_kernels_keep_the_field_of_their_input(field):
     one, half = eye(3, field), field(1) / 2
     for out in (apply_bidiagonal(one, RKICoefficients(2, 2, (half,), (half,))),
-                c0_join_matrices(one, one, 1), block_diag(one, one)):
+                join_core._glue(order(one), order(one), 1), glued(one, one, 1),
+                block_diag(one, one)):
         assert out.dtype == dtype_of(field)
         assert all(isinstance(v, field) for v in out.ravel())
 
@@ -451,3 +472,68 @@ def test_join_steps_combine_only_the_seam_block(monkeypatch, field):
     assert all(n <= 2 * r + 1 for r, ns in rows for n in ns)
     assert sum(len(ns) for _, ns in rows) > (1000 if field is FLOAT else 20)
     assert max(joined) >= (50 if field is FLOAT else 1)
+
+
+def traced_join_builds(field):
+    """(bundle, its join steps grouped by seam and row) of rki and mixed builds."""
+    if field is FLOAT:
+        spaces = [f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE] \
+            + [random_space(seed) for seed in range(200)]
+    else:
+        spaces = [PRESETS[name]() for name in ("cox", "test1", "test3", "table7")] \
+            + [random_space(seed, 3, 5) for seed in range(20)]
+    for sp in spaces:
+        for route in ("rki", "mixed"):
+            trace = Trace()
+            bundle = build_matrix(sp, route, field, trace)
+            rows = {}
+            for s in trace.steps:
+                if s.kind == "join":
+                    rows.setdefault((s.at, s.n), []).append(s)
+            yield bundle, rows
+
+
+def same_cells(got, want, field):
+    cells = (lambda m: (m.dtype, m.tobytes())) if field is FLOAT else (lambda m: m.tolist())
+    return got.shape == want.shape and cells(got) == cells(want)
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_join_steps_chain_their_levels(field):
+    # each join step k >= 2 acts on the level that step k - 1 of its seam and
+    # row made, bit for bit, and the last step of each row of the final join
+    # makes that order's matrix; step 1 acts on the gluing, which keeps one
+    # seam column where step 0 sets both operands side by side
+    links = 0
+    for bundle, rows in traced_join_builds(field):
+        for (at, n), steps in rows.items():
+            assert [s.k for s in steps] == list(range(n + 1)), (at, n)
+            for prev, s in zip(steps[1:], steps[2:]):
+                level = apply_bidiagonal(prev.matrix, prev.coefficients)
+                assert same_cells(s.matrix, level, field), (at, n, s.k)
+                links += 1
+        if rows:
+            last = list(rows)[-1][0]
+            r = max(n for at, n in rows if at == last)
+            for n in range(1, r + 1):
+                s = rows[(last, n)][-1]
+                level = apply_bidiagonal(s.matrix, s.coefficients)
+                assert same_cells(level, bundle.orders[r - n].matrix, field), (last, n)
+    assert links > (7000 if field is FLOAT else 300)
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_join_levels_stay_in_their_columns(field):
+    # row i of the gluing's level and of the level after every join step is
+    # nonzero only in columns i .. i + (columns - rows), the band the gluing
+    # cuts its seam blocks to
+    checked = 0
+    for _, rows in traced_join_builds(field):
+        for steps in rows.values():
+            for s in steps[1:]:
+                for level in (s.matrix, apply_bidiagonal(s.matrix, s.coefficients)):
+                    i, j = np.nonzero(level)
+                    gap = level.shape[1] - level.shape[0]
+                    assert (j >= i).all() and (j <= i + gap).all(), (s.at, s.n, s.k)
+                    checked += 1
+    assert checked > (20000 if field is FLOAT else 900)

@@ -10,12 +10,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from mdspline import (FLOAT, MDSpace, NumericalInconsistencyError,
+from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       SpaceValidationError, UnsupportedSpaceError, build_matrix,
                       cr_join, eval_basis, greville, section_bundle)
 from mdspline.c0_engine import c0_integrals, eval_c0_derivatives
-from mdspline.join_core import (Bundle, OrderData, RKICoefficients, c0_join_matrices,
-                                ratio_coefficients)
+from mdspline.join_core import Bundle, OrderData, RKICoefficients, ratio_coefficients
 from mdspline.presets import preset_space, table7
 
 TWO_SECTIONS = MDSpace.create((0.0, 3.0), (1.0, 2.0), (3, 2, 3), (2, 1))
@@ -46,6 +45,17 @@ def _join_a_derivative_route_bundle():
     return cr_join(left, right, 1)
 
 
+def _glue_exact_corners_that_disagree():
+    # the right operand's seam corner is 1/2, the left's 1
+    left = section_bundle(MDSpace.create((0.0, 1.0), (), (2,), ()), EXACT)
+    right = section_bundle(MDSpace.create((1.0, 2.0), (), (3,), ()), EXACT)
+    zero = right.orders[0]
+    matrix = zero.matrix.copy()
+    matrix[0, 0] = F(1, 2)
+    right.orders[0] = replace(zero, matrix=matrix)
+    return cr_join(left, right, 0)
+
+
 def _ratio_over(den):
     # the denominator is the integral after the step below, in either field
     dtype = object if isinstance(den, F) else float
@@ -70,9 +80,7 @@ CASES = {
                                    np.ones(2, dtype=object), np.ones(1, dtype=object)),
         ValueError, "window size"),
     "exact corners that disagree": (
-        lambda: c0_join_matrices(np.array([[F(1)]], dtype=object),
-                                 np.array([[F(1, 2)]], dtype=object)),
-        NumericalInconsistencyError, "disagree exactly"),
+        _glue_exact_corners_that_disagree, NumericalInconsistencyError, "disagree exactly"),
     "section bundle of a space with a smooth degree change": (
         lambda: section_bundle(TWO_SECTIONS, FLOAT), UnsupportedSpaceError,
         "not directly evaluable"),
