@@ -130,12 +130,17 @@ def join_spaces(left: MDSpace, right: MDSpace, k: int) -> MDSpace:
                    left.continuities + (k,) + right.continuities, internal)
 
 
+def matrix_columns(rho: int, ref: MDSpace) -> int:
+    """The one order rule: only orders 0 and 1 carry a matrix; every order its integrals."""
+    return ref.dimension if rho <= 1 else 0
+
+
 @dataclass(frozen=True)
 class OrderData:
     """One derivative order rho of a bundle: the basis of the bundle space's
-    rho-th derivative space expressed over the directly evaluable `ref` by
-    `matrix`; `integrals0` are the ref integrals and `integrals` those of the
-    basis, matrix.dot(integrals0), which a build carries step by step."""
+    rho-th derivative space over the directly evaluable `ref`, by `matrix` if
+    `matrix_columns` gives it columns; `integrals0` are the ref integrals and
+    `integrals` those of the basis, which a build carries step by step."""
     matrix: np.ndarray
     ref: MDSpace
     integrals0: np.ndarray
@@ -165,12 +170,12 @@ class Step:
 
     kind is "join" (cr_join), "lower" (rde_build) or "legacy" (legacy_join);
     at is the seam x of a join or (j, h) of a lowering; (n, k) place the step
-    in the join triangle or the lowering rectangle. The step acts on the level
-    `matrix`, whose reference basis has the integrals `integrals0`; the level
-    it makes is apply_bidiagonal(matrix, coefficients). Step k = 0 of join row
-    n is the C0 gluing: its matrix holds the two operand blocks side by side,
-    and its degenerate window merges their seam rows. A lowering step on a row
-    whose order the sweep does not emit has a matrix with no columns.
+    in the join triangle or the lowering rectangle. The step acts on a level:
+    its matrix `matrix`, with no columns where `matrix_columns` gives none, and
+    its basis integrals `integrals`; it makes the level of
+    apply_bidiagonal(x, coefficients) for x = matrix and x = integrals[:, None].
+    Step k = 0 of join row n is the C0 gluing: its level holds the two operand
+    blocks side by side, and its degenerate window merges their seam rows.
     """
     kind: str
     at: object
@@ -178,7 +183,7 @@ class Step:
     k: int
     coefficients: RKICoefficients
     matrix: np.ndarray
-    integrals0: np.ndarray
+    integrals: np.ndarray
 
 
 @dataclass
@@ -203,8 +208,8 @@ class LazyIntegrals:
 
 
 def section_bundle(section: MDSpace, field=FLOAT, top: int | None = None) -> Bundle:
-    """Identity bundle of a directly evaluable space, orders 0..max(top, 1);
-    `top` defaults to the degree, the highest continuity a seam can ask for."""
+    """Identity bundle of a directly evaluable space, orders 0..max(top, 1), cut to
+    `matrix_columns`; `top` defaults to the degree, the highest seam continuity."""
     if not section.is_directly_evaluable():
         raise UnsupportedSpaceError(f"{section} is not directly evaluable")
     if top is None:
@@ -213,7 +218,7 @@ def section_bundle(section: MDSpace, field=FLOAT, top: int | None = None) -> Bun
     for rho in range(max(top, 1) + 1):
         sp = section.derivative_space(rho)
         in0 = c0_integrals(sp, field)
-        orders[rho] = OrderData(eye(sp.dimension, field), sp, in0, in0)
+        orders[rho] = OrderData(eye(sp.dimension, field, matrix_columns(rho, sp)), sp, in0, in0)
     return Bundle(section, orders, field)
 
 
@@ -263,19 +268,20 @@ def _glue(lo: OrderData, ro: OrderData, n: int) -> np.ndarray:
     """Rows a - n .. a + n of the C0 gluing of the operands (a left rows), which
     the n steps of join row n combine, with their integrals as a last column.
     The seam corners must agree, exactly in `Fraction`s and to OVERLAP_TOL in
-    floats. Bidiagonal steps and gluings keep row i of a level inside columns
-    i .. i + (columns - rows), which bounds the block's columns."""
-    (a, _), (kr, cr) = lo.matrix.shape, ro.matrix.shape
+    floats, where they have columns. Steps and gluings keep row i of a level
+    inside columns i .. i + (columns - rows), which bounds the block's columns."""
+    (a, _), (kr, cr), field = lo.matrix.shape, ro.matrix.shape, field_of(lo.matrix)
     left, right = lo.matrix[a - n - 1:, a - n - 1:], ro.matrix[:n + 1, :n + 1 + cr - kr]
-    corner_l, corner_r, field = left[-1, -1], right[0, 0], field_of(left)
-    if is_exact(field):
-        if corner_l != corner_r:
-            raise NumericalInconsistencyError("seam entries disagree exactly")
-    elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
-        raise NumericalInconsistencyError(
-            f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
+    if left.size:
+        corner_l, corner_r = left[-1, -1], right[0, 0]
+        if is_exact(field):
+            if corner_l != corner_r:
+                raise NumericalInconsistencyError("seam entries disagree exactly")
+        elif abs(corner_l - corner_r) > OVERLAP_TOL * max(1.0, abs(corner_l)):
+            raise NumericalInconsistencyError(
+                f"seam entries disagree: {corner_l!r} vs {corner_r!r}")
     (la, lb), (ra, rb) = left.shape, right.shape
-    block = zeros((la + ra - 1, lb + rb), field)
+    block = zeros((la + ra - 1, max(lb + rb, 1)), field)
     block[:la, :lb] = left
     block[la - 1:, lb - 1:-1] = right
     block[:, -1] = c0_join_integrals(lo.integrals[a - n - 1:], ro.integrals[:n + 1])
@@ -287,7 +293,7 @@ def _join_level(lo: OrderData, ro: OrderData, n: int, block: np.ndarray) -> np.n
     is `block`: the operand rows above it, the block, the shifted rows below."""
     (a, cl), (kr, cr) = lo.matrix.shape, ro.matrix.shape
     top, rows = a - n - 1, block.shape[0]
-    out = zeros((top + rows + kr - n - 1, cl + cr - 1), field_of(block))
+    out = zeros((top + rows + kr - n - 1, max(cl + cr - 1, 0)), field_of(block))
     out[:top, :cl] = lo.matrix[:top]
     out[top:top + rows, top:top + block.shape[1] - 1] = block[:, :-1]
     out[top + rows:, cl - 1:] = ro.matrix[n + 1:]
@@ -306,9 +312,8 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
     if left.field is not right.field:
         raise ValueError("operand bundles use different scalar fields")
     seam = left.space.b
-    need = max(r, 1)
     for op in (left, right):
-        missing = [rho for rho in range(need + 1) if rho not in op.orders]
+        missing = [rho for rho in range(max(r, 1) + 1) if rho not in op.orders]
         if missing:
             raise UnsupportedSpaceError(
                 f"operand lacks derivative orders {missing} for a C^{r} join")
@@ -324,7 +329,7 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
         if trace is not None:       # the gluing merges the seam rows of both operands
             trace.steps.append(Step("join", seam, n, 0, cos[0].shifted(base),
                                     block_diag(lo.matrix, ro.matrix),
-                                    np.concatenate([lo.integrals0, ro.integrals0])))
+                                    np.concatenate([lo.integrals, ro.integrals])))
         sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
         block = _glue(lo, ro, n)
         ints = [sides, block[:, -1]]
@@ -335,7 +340,8 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
             cos.append(co)
             if trace is not None:
                 trace.steps.append(Step("join", seam, n, k, co.shifted(base),
-                                        _join_level(lo, ro, n, block), in0))
+                                        _join_level(lo, ro, n, block), np.concatenate(
+                                            [lo.integrals[:base], ints[-1], ro.integrals[n + 1:]])))
             block = apply_bidiagonal(block, co)
             ints.append(block[:, -1])
         orders[r - n] = OrderData(

@@ -61,7 +61,7 @@ def legacy_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = No
     for k in range(1, r + 1):
         co = alpha_via_derivatives(matrix, ref, seam, k, kl - k + 1, kl)
         if trace is not None:
-            trace.steps.append(Step("legacy", seam, r, k, co, matrix, in0))
+            trace.steps.append(Step("legacy", seam, r, k, co, matrix, matrix.dot(in0)))
         matrix = apply_bidiagonal(matrix, co)
     if not (abs(matrix) < np.inf).all():
         raise NumericalInconsistencyError(f"derivative jumps at {seam} overflow a double")

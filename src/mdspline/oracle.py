@@ -7,7 +7,7 @@ identities that must hold exactly in rational arithmetic double as algorithm
 cross-checks: the integral-ratio coefficients against the abscissa-difference
 quotients, the same coefficients against the derivative-jump route, and, on
 conventional spaces, against the classical single-knot insertion weights. The
-first two read the steps of exact builds from a `Trace`.
+first two read the steps of exact builds, with their integrals, from a `Trace`.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ def abscissa_crosscheck(trace: Trace) -> int:
     abscissa-difference formula.
 
     Cell (n, k) of a join reads the abscissae before and after step
-    (n - 1, k - 1) of the same join: prefix sums of the integrals of the level
-    that step acts on and of the level it makes. Before step (n - 1, 0), the C0
-    gluing, the operand blocks still stand side by side. The abscissae start at
-    0, which cancels in the formula. Exact equality or raise.
+    (n - 1, k - 1) of the same join: prefix sums of the integrals that step
+    carries and of those it makes. Before step (n - 1, 0), the C0 gluing, the
+    operand blocks still stand side by side. The abscissae start at 0, which
+    cancels in the formula. Exact equality or raise.
     """
     steps = _join_steps(trace)
     checked = 0
@@ -81,11 +81,8 @@ def abscissa_crosscheck(trace: Trace) -> int:
         if k == 0:
             continue
         below = steps[(x, n - 1, k - 1)]
-        rows, cols = np.nonzero(below.matrix)      # a dense dot multiplies zeros
-        pre = np.zeros(len(below.matrix), dtype=object)
-        np.add.at(pre, rows, below.matrix[rows, cols] * below.integrals0[cols])
-        post = apply_bidiagonal(pre[:, None], below.coefficients)[:, 0]
-        xi_hat, xi = _prefix_abscissae(pre), _prefix_abscissae(post)
+        post = apply_bidiagonal(below.integrals[:, None], below.coefficients)[:, 0]
+        xi_hat, xi = _prefix_abscissae(below.integrals), _prefix_abscissae(post)
         co = step.coefficients
         for i in range(co.ib, co.ie + 1):
             expected = (xi_hat[i - 1] - xi[i - 2]) / (xi[i - 1] - xi[i - 2])

@@ -7,9 +7,9 @@ itself. Each lowering step is a bidiagonal row combination whose window sits
 over the affected interval; its coefficients follow from the row below by the
 same integral ratio recurrence used for continuity-raising joins, which reads
 only the integrals of the row below: row k's window starts where row k - 1's
-does and ends one row later. So a row carries a matrix only if the build emits
-its order, 0..max(top, 1); every other row is a level of one column, its
-integrals. r = max(top, 1, maximum degree - 1), so row 0's windows are empty.
+does and ends one row later. So only the rows of orders 0 and 1 carry a matrix,
+by `matrix_columns`; every other row is a level of one column, its integrals.
+r = max(top, 1, maximum degree - 1), so row 0's windows are empty.
 Each level is one array, written in place: steps run left to right, and a row
 no step has reached only moves up. Rows start as the identity and a step only
 merges adjacent rows or drops one, so row i of a level that has lost `gone`
@@ -26,7 +26,7 @@ from ._scalars import FLOAT, eye
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError
 from .join_core import (Bundle, OrderData, RKICoefficients, Step, Trace,
-                        apply_bidiagonal, ratio_coefficients)
+                        apply_bidiagonal, matrix_columns, ratio_coefficients)
 from .spaces import MDSpace
 
 
@@ -109,8 +109,7 @@ def rde_build(space: MDSpace, field=FLOAT, top: int = 1,
 
     levels = {}
     for k in range(r + 1):      # one allocation per level, integrals written in place
-        n = refs[k].dimension
-        m = eye(n, field, n + 1 if r - k <= top else 1)
+        m = eye(refs[k].dimension, field, matrix_columns(r - k, refs[k]) + 1)
         m[:, -1] = in_ref[k]
         levels[k] = [m, 0, 0]
     alpha_count = 0
@@ -126,19 +125,17 @@ def rde_build(space: MDSpace, field=FLOAT, top: int = 1,
                 co = ratio_coefficients(ib, ie, below, pre, post)
                 alpha_count += co.nontrivial_count
             if trace is not None and k:
-                trace.steps.append(Step("lower", (j, h), n, k, co,
-                                        _rows(levels[k])[:, :-1], in_ref[k]))
+                level = _rows(levels[k])
+                trace.steps.append(Step("lower", (j, h), n, k, co, level[:, :-1], level[:, -1]))
             pre, post = _lower(levels[k], co)
             below = co
 
     orders = {}
     for rho in range(top + 1):
-        k = r - rho
-        sp = space.derivative_space(rho)
-        level = _rows(levels[k])
-        if level.shape != (sp.dimension, refs[k].dimension + 1):
+        k, level = r - rho, _rows(levels[r - rho])
+        want = (space.derivative_space(rho).dimension, matrix_columns(rho, refs[k]))
+        if level[:, :-1].shape != want:
             raise NumericalInconsistencyError(
-                f"order {rho} matrix has shape {level[:, :-1].shape}, expected "
-                f"{(sp.dimension, refs[k].dimension)}")
+                f"order {rho} matrix has shape {level[:, :-1].shape}, expected {want}")
         orders[rho] = OrderData(level[:, :-1], refs[k], in_ref[k], level[:, -1])
     return Bundle(space, orders, field, alpha_count, "rde")

@@ -6,13 +6,14 @@ Run from the repository root:
 
 It builds every space below on all four routes, once untraced and once
 traced, in float and, for a smaller set, exactly. For each build it hashes
-every order's matrix, `integrals`, `integrals0` and reference space, the
-`alpha_count` and strategy, or the type and message of the error raised,
-plus each traced step's kind, place, window, coefficients, matrix and
-`integrals0`. Float cells are hashed as their raw bytes, so a signed zero
-counts; `Fraction`s as their strings. It prints the build count, the traced
-step count and the digest. Two checkouts that print the same digest build
-the same bits. pytest does not collect this file.
+what the order rule keeps: the matrices of orders 0 and 1, every order's
+`integrals`, `integrals0` and reference space, the `alpha_count` and
+strategy, or the type and message of the error raised, plus each traced
+step's kind, place, window, coefficients and `integrals`. Float cells are
+hashed as their raw bytes, so a signed zero counts; `Fraction`s as their
+strings. It prints the build count, the traced step count and the digest.
+Two checkouts that print the same digest build the same bits. pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -83,14 +84,13 @@ def digest_build(h, space: MDSpace, route: str, field, traced: bool) -> int:
         for rho in sorted(bundle.orders):
             od = bundle.orders[rho]
             h.update(encode((rho, repr(od.ref))))
-            for array in (od.matrix, od.integrals, od.integrals0):
+            for array in ((od.matrix,) if rho <= 1 else ()) + (od.integrals, od.integrals0):
                 h.update(encode(array))
         h.update(encode((bundle.alpha_count, bundle.strategy)))
     for s in trace.steps if traced else ():
         co = s.coefficients
         h.update(encode((s.kind, s.at, s.n, s.k, co.ib, co.ie, co.alphas, co.betas)))
-        h.update(encode(s.matrix))
-        h.update(encode(s.integrals0))
+        h.update(encode(s.integrals))
     return len(trace.steps) if traced else 0
 
 

@@ -5,11 +5,14 @@ rational oracle replays the same inputs bit for bit.
 """
 
 import random
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
 
-from mdspline import MDSpace
+from mdspline import MDSpace, assembler, rde_core, section_bundle
+from mdspline._scalars import eye
 from mdspline.join_core import apply_bidiagonal
 
 
@@ -58,10 +61,53 @@ def internal_space(interval, breakpoints, degrees, continuities) -> MDSpace:
 
 
 def join_levels(trace):
-    """(n, k) -> (level matrix, reference integrals) made by each join cell
-    of a trace."""
-    return {(s.n, s.k): (apply_bidiagonal(s.matrix, s.coefficients), s.integrals0)
+    """(n, k) -> (level matrix, basis integrals) made by each join cell of a
+    trace; the matrix has no columns on orders above 1."""
+    return {(s.n, s.k): (apply_bidiagonal(s.matrix, s.coefficients),
+                         apply_bidiagonal(s.integrals[:, None], s.coefficients)[:, 0])
             for s in trace.steps if s.kind == "join" and s.k > 0}
+
+
+def dense_section_bundle(section, field, top=None):
+    """`section_bundle` with the identity in every order, not only in orders 0
+    and 1: `cr_join` is width-agnostic, so joins of these write the full level
+    of every row of their triangle."""
+    bundle = section_bundle(section, field, top)
+    for rho, od in bundle.orders.items():
+        bundle.orders[rho] = replace(od, matrix=eye(od.ref.dimension, field))
+    return bundle
+
+
+def dense_sweep(space, field, top=1, trace=None):
+    """`rde_build` with every emitted order's full matrix: the lowering steps
+    of each row, recorded as the sweep runs them (row 0's are not traced),
+    replayed on the identity of the row's reference."""
+    cos, lower = [], rde_core._lower
+
+    def recording(level, co):
+        cos.append(co)
+        return lower(level, co)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rde_core, "_lower", recording)
+        bundle = rde_core.rde_build(space, field, top, trace)
+    r = rde_core.lowering_depth(space, top)
+    for rho, od in bundle.orders.items():
+        level = eye(od.ref.dimension, field)
+        for co in cos[r - rho::r + 1]:      # row k = r - rho runs every (r + 1)-th step
+            level = apply_bidiagonal(level, co)
+        bundle.orders[rho] = replace(od, matrix=level)
+    return bundle
+
+
+@contextmanager
+def dense_inputs():
+    """Builds whose sections and sweeps carry the full matrix of every order:
+    the joins, which are width-agnostic, then do too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembler, "section_bundle", dense_section_bundle)
+        mp.setattr(assembler, "rde_build", dense_sweep)
+        yield
 
 
 @pytest.fixture

@@ -14,11 +14,12 @@ import pytest
 
 from mdspline import (EXACT, FLOAT, MDSpace, Trace, build_matrix, build_matrix_derivative,
                       build_matrix_mixed, build_matrix_rde, build_matrix_rki, eval_basis)
-from conftest import DEGREE_ZERO_SAMPLE, random_space, without_degree_one
+from conftest import (DEGREE_ZERO_SAMPLE, dense_inputs, dense_sweep, random_space,
+                      without_degree_one)
 from mdspline import assembler, oracle
 from mdspline.assembler import auto_plan, join_cost, rde_cost
 from mdspline.c0_engine import eval_c0_basis
-from mdspline.presets import PRESETS, table7
+from mdspline.presets import PRESETS, TABLE7_RANGE, table7
 from mdspline.rde_core import lowering_depth, rde_build
 
 
@@ -296,7 +297,9 @@ def test_integrals_are_carried(field):
     # every order of every bundle, and of a sweep that emits every order of
     # its lowering depth, carries the integrals of its basis, step by step:
     # exactly the matrix times the reference integrals in rational
-    # arithmetic, within a few roundings in float
+    # arithmetic, within a few roundings in float. Above order 1 the matrix
+    # is that of the same build from sections and sweeps with the full matrix
+    # of every order, whose integrals are the same bits
     if field is EXACT:
         spaces = [PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "table7")]
     else:
@@ -305,9 +308,14 @@ def test_integrals_are_carried(field):
     for sp in spaces:
         bundles = {route: build_matrix(sp, route, field) for route in ("rki", "rde", "mixed")}
         bundles["full-depth rde"] = rde_build(sp, field, lowering_depth(sp))
+        with dense_inputs():
+            full = {route: build_matrix(sp, route, field) for route in ("rki", "rde", "mixed")}
+        full["full-depth rde"] = dense_sweep(sp, field, lowering_depth(sp))
         for route, bundle in bundles.items():
             for rho, od in bundle.orders.items():
-                dot = od.matrix.dot(od.integrals0)
+                dense = full[route].orders[rho]
+                assert np.array_equal(od.integrals, dense.integrals), (sp, route, rho)
+                dot = dense.matrix.dot(od.integrals0)
                 if field is EXACT:
                     assert list(od.integrals) == list(dot), (sp, route, rho)
                 else:
@@ -315,3 +323,37 @@ def test_integrals_are_carried(field):
                         (sp, route, rho)
                 checked += 1
     assert checked > (2000 if field is FLOAT else 50)
+
+
+RULE_SPACES = ([f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE]
+               + [random_space(s) for s in range(200)])
+EXACT_RULE_SPACES = ([PRESETS[name]() for name in ("cox", "test1", "test2", "test3", "test6")]
+                     + [table7(5), table7(9)] + [random_space(s, 3, 5) for s in range(20)])
+
+
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_only_orders_0_and_1_carry_a_matrix(field):
+    # the one order rule: orders 0 and 1 of every bundle of every route have
+    # a K x K0 matrix and every higher order a K x 0 one. The same build from
+    # sections and sweeps with the full matrix of every order, through the
+    # same width-agnostic joins, returns the same orders 0 and 1 and the same
+    # integrals of every order: byte for byte in float, exactly in Fraction
+    def cells(m):
+        return (m.shape, m.dtype.str, m.tobytes()) if field is FLOAT else (m.shape, m.tolist())
+
+    higher = 0
+    for sp in RULE_SPACES if field is FLOAT else EXACT_RULE_SPACES:
+        for route in ("rki", "rde", "mixed", "derivative"):
+            bundle = build_matrix(sp, route, field)
+            with dense_inputs():
+                full = build_matrix(sp, route, field)
+            assert set(bundle.orders) == set(full.orders), (sp, route)
+            for rho, od in bundle.orders.items():
+                want = (len(od.integrals), od.ref.dimension if rho <= 1 else 0)
+                assert od.matrix.shape == want, (sp, route, rho)
+                dense = full.orders[rho]
+                assert cells(od.integrals) == cells(dense.integrals), (sp, route, rho)
+                if rho <= 1:
+                    assert cells(od.matrix) == cells(dense.matrix), (sp, route, rho)
+                higher += rho > 1
+    assert higher > (300 if field is FLOAT else 50)

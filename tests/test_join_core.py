@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import join_levels, random_space
+from conftest import dense_inputs, dense_section_bundle, join_levels, random_space
 from mdspline import (EXACT, FLOAT, MDSpace, NumericalInconsistencyError,
                       SpaceValidationError, Trace, assembler, build_matrix, cr_join,
                       join_core, section_bundle)
@@ -201,6 +201,20 @@ def test_glued_identities_are_the_identity():
     assert join_core._glue(order(np.eye(2)), order(np.eye(3)), 1)[:, -1].tolist() == [1, 2, 1]
 
 
+@pytest.mark.parametrize("field", [FLOAT, EXACT])
+def test_columnless_orders_glue_their_integrals(field):
+    # operand orders without a matrix have no seam corners to check: row n
+    # glues their integrals to one column over rows a - n .. a + n, and its
+    # level has no columns
+    lo = OrderData(zeros((4, 0), field), None, None, np.array([field(v) for v in (1, 2, 3, 4)]))
+    ro = OrderData(zeros((3, 0), field), None, None, np.array([field(v) for v in (5, 6, 7)]))
+    glued = {0: [9], 1: [3, 9, 6], 2: [2, 3, 9, 6, 7]}
+    for n, want in glued.items():
+        block = join_core._glue(lo, ro, n)
+        assert block.shape == (2 * n + 1, 1) and block[:, 0].tolist() == want, n
+        assert join_core._join_level(lo, ro, n, block).shape == (6, 0), n
+
+
 @pytest.mark.parametrize("corner", [0.5, 1 + 3 * OVERLAP_TOL, 1 - 3 * OVERLAP_TOL],
                          ids=["half", "above", "below"])
 def test_glue_corner_disagreement(corner):
@@ -342,9 +356,9 @@ def test_no_space_per_join(monkeypatch):
         assert sorted(integrated) == sorted(want), sp
 
 
-def first_join(field):
-    left = section_bundle(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
-    right = section_bundle(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
+def first_join(field, section=section_bundle):
+    left = section(MDSpace.create((2.0, 3.0), (), (4,), ()), field)
+    right = section(MDSpace.create((3.0, 4.0), (), (3,), ()), field)
     trace = Trace()
     return cr_join(left, right, 3, trace=trace), trace
 
@@ -363,29 +377,38 @@ def test_first_join_cell_fractions():
 
 def test_first_join_gluing_steps():
     # k = 0 of row n sets the order 3 - n operand blocks side by side and
-    # merges the last left row with the first right row
-    _, trace = first_join(EXACT)
+    # merges the last left row with the first right row; on operands with
+    # the identity in every order, its level is their block diagonal
+    _, trace = first_join(EXACT, dense_section_bundle)
     glue = {s.n: s for s in trace.steps if s.k == 0}
     assert sorted(glue) == [0, 1, 2, 3]
     assert [glue[n].coefficients.window for n in range(4)] == \
         [(3, 2), (4, 3), (5, 4), (6, 5)]
     assert [glue[n].matrix.shape for n in range(4)] == [(3, 3), (5, 5), (7, 7), (9, 9)]
+    assert [len(glue[n].integrals) for n in range(4)] == [3, 5, 7, 9]
     assert all(s.at == 3.0 and s.kind == "join" for s in trace.steps)
 
 
 def test_first_join_integral_vectors():
+    # the integral column each cell carries is its full level times the
+    # reference integrals of its row
     levels = join_levels(first_join(EXACT)[1])
+    dense, trace = first_join(EXACT, dense_section_bundle)
+    for (n, k), (matrix, integrals) in join_levels(trace).items():
+        ref = dense.orders[3 - n].integrals0
+        assert list(levels[(n, k)][1]) == list(integrals) == list(matrix.dot(ref)), (n, k)
 
     def iv(n, k):
-        matrix, integrals0 = levels[(n, k)]
-        return list(matrix.dot(integrals0))
+        return list(levels[(n, k)][1])
     assert iv(1, 1) == [F(1, 3), F(8, 9), F(7, 9)]
     assert iv(2, 1) == [F(1, 4), F(1, 4), F(3, 5), F(17, 30), F(1, 3)]
     assert iv(2, 2) == [F(1, 4), F(5, 8), F(33, 56), F(15, 28)]
 
 
 def test_first_join_matrices():
-    levels = join_levels(first_join(EXACT)[1])
+    # the full levels of every row: the join run on operands with the
+    # identity in every order
+    levels = join_levels(first_join(EXACT, dense_section_bundle)[1])
     m11 = [[1, 0, 0, 0], [0, 1, F(2, 3), 0], [0, 0, F(1, 3), 1]]
     assert levels[(1, 1)][0].tolist() == m11
     m22 = [[1, 0, 0, 0, 0, 0],
@@ -500,10 +523,14 @@ def same_cells(got, want, field):
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
 def test_join_steps_chain_their_levels(field):
-    # each join step k >= 2 acts on the level that step k - 1 of its seam and
-    # row made, bit for bit, and the last step of each row of the final join
-    # makes that order's matrix; step 1 acts on the gluing, which keeps one
-    # seam column where step 0 sets both operands side by side
+    # each join step k >= 2 acts on the level, and the integral column, that
+    # step k - 1 of its seam and row made, bit for bit, and the last step of
+    # each row of the final join makes that order's matrix and integrals;
+    # step 1 acts on the gluing, which keeps one seam column where step 0
+    # sets both operands side by side
+    def integrals(s):
+        return apply_bidiagonal(s.integrals[:, None], s.coefficients)[:, 0]
+
     links = 0
     for bundle, rows in traced_join_builds(field):
         for (at, n), steps in rows.items():
@@ -511,6 +538,7 @@ def test_join_steps_chain_their_levels(field):
             for prev, s in zip(steps[1:], steps[2:]):
                 level = apply_bidiagonal(prev.matrix, prev.coefficients)
                 assert same_cells(s.matrix, level, field), (at, n, s.k)
+                assert same_cells(s.integrals, integrals(prev), field), (at, n, s.k)
                 links += 1
         if rows:
             last = list(rows)[-1][0]
@@ -519,6 +547,8 @@ def test_join_steps_chain_their_levels(field):
                 s = rows[(last, n)][-1]
                 level = apply_bidiagonal(s.matrix, s.coefficients)
                 assert same_cells(level, bundle.orders[r - n].matrix, field), (last, n)
+                assert same_cells(integrals(s), bundle.orders[r - n].integrals, field), \
+                    (last, n)
     assert links > (7000 if field is FLOAT else 300)
 
 

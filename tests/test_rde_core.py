@@ -250,21 +250,27 @@ REPLAY_SPACES = [("stepped", stepped(), EXACT), ("stepped", stepped(), FLOAT),
 @pytest.mark.parametrize("space, field", [(sp, f) for _, sp, f in REPLAY_SPACES],
                          ids=[f"{name}-{f.__name__}" for name, _, f in REPLAY_SPACES])
 def test_steps_replay_on_the_dense_level(space, field):
-    # each traced lowering step at row k acts on the level that the dense
-    # kernel, run on the whole previous level of row k, makes; the last one
-    # makes the order's matrix. The steps write their levels in place, moving
-    # the rows no step has reached yet, and must keep every bit. Emitting
-    # orders 0..r - 1 keeps a matrix in every row above row 0.
+    # each traced lowering step at row k acts on the level, and its integral
+    # column, that the dense kernel makes from the previous ones of row k,
+    # replayed from the identity and the reference integrals; the last one
+    # makes the order's matrix and integrals. The steps write their levels in
+    # place, moving the rows no step has reached yet, and must keep every
+    # bit. Orders 0 and 1 keep the matrix, every other order none. Emitting
+    # orders 0..r - 1 gives every row above row 0 an order.
     trace, r = Trace(), lowering_depth(space)
     bundle = rde_build(space, field, r - 1, trace)
     assert len(trace.steps) == r * len(rde_schedule(space))
     for k in range(1, r + 1):
         order = bundle.orders[r - k]
-        level = eye(order.ref.dimension, field)
+        level, integrals = eye(order.ref.dimension, field), order.integrals0
+        width = level.shape[1] if r - k <= 1 else 0
         for s in (s for s in trace.steps if s.k == k):
-            assert_same(s.matrix, level, field, (k, s.n))
-            level = apply_bidiagonal(s.matrix, s.coefficients)
-        assert_same(order.matrix, level, field, k)
+            assert_same(s.matrix, level[:, :width], field, (k, s.n))
+            assert_same(s.integrals, integrals, field, (k, s.n))
+            level = apply_bidiagonal(level, s.coefficients)
+            integrals = apply_bidiagonal(integrals[:, None], s.coefficients)[:, 0]
+        assert_same(order.matrix, level[:, :width], field, k)
+        assert_same(order.integrals, integrals, field, k)
 
 
 def assert_same(got, want, field, where):
@@ -282,9 +288,10 @@ EXACT_RULE_SPACES = ([PRESETS[name]() for name in ("cox", "test1", "test2", "tes
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
 def test_unread_rows_leave_the_build_unchanged(field):
-    # a default sweep keeps a matrix only in the rows of orders 0 and 1; its
-    # steps, its coefficient count and those orders equal, bit for bit in
-    # float and exactly in Fraction, those of a sweep that keeps one in every row
+    # a default sweep emits orders 0 and 1, one of full depth every order of
+    # its rows, which adds only their integrals: the steps, the coefficient
+    # count and orders 0 and 1 are equal, bit for bit in float and exactly in
+    # Fraction
     for sp in RULE_SPACES if field is FLOAT else EXACT_RULE_SPACES:
         got, want, r = Trace(), Trace(), lowering_depth(sp)
         bundle, full = rde_build(sp, field, trace=got), rde_build(sp, field, r, want)
@@ -301,9 +308,10 @@ def test_unread_rows_leave_the_build_unchanged(field):
 
 
 def test_unread_rows_hold_one_column(monkeypatch):
-    # row k keeps a matrix only if the sweep emits its order r - k: every other
-    # row, row 0 among them, is one column of integrals after every step, and
-    # its traced steps record a matrix with no columns
+    # row k keeps a matrix only if its order r - k is 0 or 1, whatever orders
+    # the sweep emits: every other row, row 0 among them, is one column of
+    # integrals after every step, and its traced steps record a matrix with
+    # no columns
     lower, widths = rde_core._lower, []
 
     def recording(level, co):
@@ -321,10 +329,10 @@ def test_unread_rows_hold_one_column(monkeypatch):
             assert len(widths) == (r + 1) * len(rde_schedule(sp)), sp
             for n, width in enumerate(widths):
                 k = n % (r + 1)
-                assert (width == 1) == (k < r - max(top, 1)), (sp, top, k)
-                thin += 0 < k < r - max(top, 1)
+                assert (width == 1) == (k < r - 1), (sp, top, k)
+                thin += 0 < k < r - 1
             for s in trace.steps:
-                assert (s.matrix.shape[1] == 0) == (s.k < r - max(top, 1)), (sp, top, s.k)
+                assert (s.matrix.shape[1] == 0) == (s.k < r - 1), (sp, top, s.k)
     assert thin > 0
 
 
