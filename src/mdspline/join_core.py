@@ -11,16 +11,18 @@ come from ratios of basis integrals only; no subtraction is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd, lcm
 
 import numpy as np
 
-from ._scalars import FLOAT, dtype_of, eye, field_of, is_exact, zeros
+from ._scalars import EXACT, FLOAT, eye, field_of, is_exact, zeros
 from .c0_engine import c0_integrals
 from .errors import NumericalInconsistencyError, SpaceValidationError, UnsupportedSpaceError
 from .spaces import MDSpace
 
 OVERLAP_TOL = 1e-14
 PAIR_SUM_TOL = 1e-13
+_ZERO = EXACT(0)
 
 
 @dataclass(slots=True)
@@ -75,28 +77,59 @@ def apply_bidiagonal(matrix: np.ndarray, co: RKICoefficients) -> np.ndarray:
     Only rows lo..ie are combined, where lo is the row before the window
     (clamped to 1): the rows before lo are copied and the rows after ie
     shifted up by one, which drops row ie + 1 when the window is a drop.
-    In the exact field a cell forms only the products of its nonzero inputs,
-    or keeps its zero: the rows are narrow bands, so most cells are zero. Floats
-    keep the numpy broadcast, where a test per cell costs more than a multiply.
+    Floats take one numpy broadcast; exact rows are stepped by `_step` as
+    ints over one denominator each, converted in and out once per call.
     """
-    lo, hi, field = max(co.ib - 1, 1), co.ie, field_of(matrix)
-    dtype = dtype_of(field)
-    out = np.empty((matrix.shape[0] - 1, matrix.shape[1]), dtype=dtype)
+    if matrix.dtype == object:
+        return _dense(_step(_rows(matrix), co), matrix.shape[1])
+    lo, hi = max(co.ib - 1, 1), co.ie
+    out = np.empty((matrix.shape[0] - 1, matrix.shape[1]))
     if lo > 1:
         out[:lo - 1] = matrix[:lo - 1]
     if hi < len(out):
         out[hi:] = matrix[hi + 1:]
     if hi >= lo:
         n = hi - lo + 1
-        a = np.array(((1,) + co.alphas)[-n:], dtype=dtype)
-        b = np.array((co.betas + (1,))[-n:], dtype=dtype)
-        if is_exact(field):
-            rows = matrix[lo - 1:hi + 1].tolist()
-            out[lo - 1:hi] = [[x * u + y * v if u and v else x * u if u else y * v if v else u
-                               for u, v in zip(p, q)] for x, y, p, q in zip(a, b, rows, rows[1:])]
-        else:
-            out[lo - 1:hi] = a[:, None] * matrix[lo - 1:hi] + b[:, None] * matrix[lo:hi + 1]
+        a = np.array(((1,) + co.alphas)[-n:], dtype=np.float64)
+        b = np.array((co.betas + (1,))[-n:], dtype=np.float64)
+        out[lo - 1:hi] = a[:, None] * matrix[lo - 1:hi] + b[:, None] * matrix[lo:hi + 1]
     return out
+
+
+def _rows(block: np.ndarray):
+    """An exact block as rows (ints, denominator > 0) over each row's lcm; a float block as is."""
+    return block if block.dtype != object else [
+        ([x.numerator * (d // x.denominator) for x in row], d)
+        for row in block.tolist() for d in [lcm(*(x.denominator for x in row))]]
+
+
+def _step(rows, co: RKICoefficients):
+    """`apply_bidiagonal` on `_rows`: rows N / D, N' / D' and alpha a / A, beta b / B
+    make (a B D' N + b A D N') / (A B D D'), cut to lowest terms by one gcd."""
+    if isinstance(rows, np.ndarray):
+        return apply_bidiagonal(rows, co)
+    lo, hi = max(co.ib - 1, 1), co.ie
+    n, out = hi - lo + 1, rows[:lo - 1]
+    for a, b, (p, d), (q, e) in zip(((1,) + co.alphas)[-n:], (co.betas + (1,))[-n:],
+                                    rows[lo - 1:hi], rows[lo:hi + 1]):
+        u, v = a.numerator * b.denominator * e, b.numerator * a.denominator * d
+        nums = [u * x + v * y for x, y in zip(p, q)]
+        g = gcd(den := a.denominator * b.denominator * d * e, *nums)
+        out.append(([x // g for x in nums], den // g) if g > 1 else (nums, den))
+    return out + rows[hi + 1:]
+
+
+def _column(rows) -> np.ndarray:
+    """The last column of `_rows`, the integrals, as an array."""
+    return rows[:, -1] if isinstance(rows, np.ndarray) else np.array(
+        [EXACT(p[-1], d) for p, d in rows], dtype=object)
+
+
+def _dense(rows, cols: int) -> np.ndarray:
+    """`_rows` as an array of `cols` columns."""
+    return rows if isinstance(rows, np.ndarray) else np.array(
+        [[EXACT(x, d) if x else _ZERO for x in p] for p, d in rows],
+        dtype=object).reshape(len(rows), cols)
 
 
 def c0_join_integrals(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -332,20 +365,20 @@ def cr_join(left: Bundle, right: Bundle, r: int, *, trace: Trace | None = None) 
                                     np.concatenate([lo.integrals, ro.integrals])))
         sides = np.concatenate([lo.integrals[base:], ro.integrals[:1]])  # before the gluing
         block = _glue(lo, ro, n)
-        ints = [sides, block[:, -1]]
+        rows, cols, ints = _rows(block), block.shape[1], [sides, block[:, -1]]
         for k in range(1, n + 1):
             co = ratio_coefficients(n + 2 - k, n + 1, below[k - 1], pre[k - 1][n - k:],
                                     pre[k][n - k:])
             alpha_count += co.nontrivial_count
             cos.append(co)
             if trace is not None:
-                trace.steps.append(Step("join", seam, n, k, co.shifted(base),
-                                        _join_level(lo, ro, n, block), np.concatenate(
-                                            [lo.integrals[:base], ints[-1], ro.integrals[n + 1:]])))
-            block = apply_bidiagonal(block, co)
-            ints.append(block[:, -1])
+                level = _join_level(lo, ro, n, _dense(rows, cols))
+                trace.steps.append(Step("join", seam, n, k, co.shifted(base), level, np.concatenate(
+                    [lo.integrals[:base], ints[-1], ro.integrals[n + 1:]])))
+            rows = _step(rows, co)
+            ints.append(_column(rows))
         orders[r - n] = OrderData(
-            _join_level(lo, ro, n, block), join_spaces(lo.ref, ro.ref, 0), in0,
+            _join_level(lo, ro, n, _dense(rows, cols)), join_spaces(lo.ref, ro.ref, 0), in0,
             np.concatenate([lo.integrals[:base], ints[-1], ro.integrals[n + 1:]]))
         below, pre = cos, ints
 

@@ -11,9 +11,11 @@ what the order rule keeps: the matrices of orders 0 and 1, every order's
 strategy, or the type and message of the error raised, plus each traced
 step's kind, place, window, coefficients and `integrals`. Float cells are
 hashed as their raw bytes, so a signed zero counts; `Fraction`s as their
-strings. It prints the build count, the traced step count and the digest.
-Two checkouts that print the same digest build the same bits. pytest does
-not collect this file.
+strings. It prints the build count, the traced step count, the digest and
+a second digest over the exact builds alone. Two checkouts that print the
+same digest build the same bits. Exact strings do not depend on the
+platform, as float bytes can, so the exact digest is pinned below and the
+script exits 1 when it differs. pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from mdspline import EXACT, FLOAT, MDSpace, Trace, build_matrix  # noqa: E402
 from mdspline.presets import PRESETS, TABLE7_RANGE, table7  # noqa: E402
 
 ROUTES = ("rki", "rde", "mixed", "derivative")
+EXACT_SHA256 = "d1eda84c705a610f9a42d57baf76bc4187b31ad64037eb767bbe6393742a0c7f"
 
 
 def large_q_space(q: int = 100) -> MDSpace:
@@ -73,6 +76,17 @@ def encode(value) -> bytes:
     return repr(value).encode()
 
 
+class Tee:
+    """Feeds every update to each of its hashes."""
+
+    def __init__(self, *hashes):
+        self.hashes = hashes
+
+    def update(self, data: bytes) -> None:
+        for h in self.hashes:
+            h.update(data)
+
+
 def digest_build(h, space: MDSpace, route: str, field, traced: bool) -> int:
     trace = Trace() if traced else None
     h.update(encode((repr(space), route, field.__name__, traced)))
@@ -94,19 +108,24 @@ def digest_build(h, space: MDSpace, route: str, field, traced: bool) -> int:
     return len(trace.steps) if traced else 0
 
 
-def main() -> None:
-    h, builds, steps = hashlib.sha256(), 0, 0
+def main() -> int:
+    h, exact, builds, steps = hashlib.sha256(), hashlib.sha256(), 0, 0
     with np.errstate(all="ignore"):
-        for field, spaces in ((FLOAT, FLOAT_SPACES), (EXACT, EXACT_SPACES)):
+        for field, spaces, sink in ((FLOAT, FLOAT_SPACES, h), (EXACT, EXACT_SPACES, Tee(h, exact))):
             for space in spaces:
                 for route in ROUTES:
                     for traced in (False, True):
-                        steps += digest_build(h, space, route, field, traced)
+                        steps += digest_build(sink, space, route, field, traced)
                         builds += 1
     print(f"builds {builds}")
     print(f"steps {steps}")
     print(f"sha256 {h.hexdigest()}")
+    print(f"exact sha256 {exact.hexdigest()}")
+    if exact.hexdigest() != EXACT_SHA256:
+        print(f"exact builds changed: expected exact sha256 {EXACT_SHA256}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,6 +7,7 @@ against an explicitly assembled dense matrix.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -129,8 +130,8 @@ def test_apply_matches_dense_product(data):
     # float and Fraction rows; windows from ib = 1 to merges (ib = ie + 1) and
     # drops (ib >= ie + 2). Sizes and window ends are drawn down from their
     # largest, so most examples combine rows. About half the cells are zero,
-    # and some whole rows, as in the banded levels of a build, where exact
-    # cells skip zero products; the other cells are nonzero
+    # and some whole rows, as in the banded levels of a build; the other
+    # cells are nonzero
     field = data.draw(st.sampled_from([FLOAT, EXACT]))
 
     def value(lo, hi):      # exact values lie on a grid of twentieths
@@ -467,23 +468,29 @@ def test_pair_sums_exact():
 
 @pytest.mark.parametrize("field", [FLOAT, EXACT])
 def test_join_steps_combine_only_the_seam_block(monkeypatch, field):
-    # every bidiagonal step of a continuity-r join gets the 2r + 1 rows around
-    # the seam at most, however large the levels it joins
-    rows, joined = [], []
-    real_join, real_apply = cr_join, apply_bidiagonal
+    # every step of a continuity-r join gets the 2r + 1 rows around the seam
+    # at most, however large the levels it joins. Join rows step through
+    # `_step`, on int rows in the exact field; exact lowerings reach it too,
+    # through apply_bidiagonal, but never inside a join, so they do not count
+    steps, joined, inside = [], [], []
+    real_join, real_step = cr_join, join_core._step
 
     def joining(left, right, r, trace):
-        rows.append((r, []))
-        out = real_join(left, right, r, trace=trace)
+        inside.append(r)
+        try:
+            out = real_join(left, right, r, trace=trace)
+        finally:
+            inside.pop()
         joined.append(out.matrix.shape[0] - (2 * r + 1))
         return out
 
-    def applying(matrix, co):
-        rows[-1][1].append(matrix.shape[0])
-        return real_apply(matrix, co)
+    def stepping(rows, co):
+        if inside:
+            steps.append((inside[-1], len(rows)))
+        return real_step(rows, co)
 
     monkeypatch.setattr(assembler, "cr_join", joining)
-    monkeypatch.setattr(join_core, "apply_bidiagonal", applying)
+    monkeypatch.setattr(join_core, "_step", stepping)
     if field is FLOAT:
         spaces = [f() for f in PRESETS.values()] + [table7(k) for k in TABLE7_RANGE] \
             + [random_space(seed) for seed in range(200)] + [random_space(7, 40, 6)]
@@ -492,9 +499,59 @@ def test_join_steps_combine_only_the_seam_block(monkeypatch, field):
     for sp in spaces:
         for route in ("rki", "mixed"):
             build_matrix(sp, route, field)
-    assert all(n <= 2 * r + 1 for r, ns in rows for n in ns)
-    assert sum(len(ns) for _, ns in rows) > (1000 if field is FLOAT else 20)
+    assert all(n <= 2 * r + 1 for r, n in steps)
+    assert len(steps) > (1000 if field is FLOAT else 20)
     assert max(joined) >= (50 if field is FLOAT else 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_row_chains_match_dense_products(data):
+    # 1-4 consecutive steps on int rows, converted to Fractions once at the
+    # end, make what the successive dense products make: windows from ib = 1
+    # to merges (ib = ie + 1) and drops (ib >= ie + 2), zero rows, negative
+    # cells and one-column blocks. Coefficients and cells on small grids give
+    # rows with common factors; each row is left in lowest terms, a zero row
+    # over 1
+    steps = data.draw(st.integers(1, 4))
+    m, cols = steps + 1 + data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
+    zero_rows = data.draw(st.sets(st.integers(0, m - 1)))
+    cell = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+    mat = np.array([[F(0) if i in zero_rows else data.draw(cell) for _ in range(cols)]
+                    for i in range(m)], dtype=object)
+    rows, want = join_core._rows(mat), mat
+    for _ in range(steps):
+        ie = len(want) - 1 - data.draw(st.integers(0, len(want) - 1))
+        ib = data.draw(st.integers(1, ie + 3))
+        alphas = tuple(F(data.draw(st.integers(1, 12)), 12) for _ in range(ib, ie + 1))
+        co = RKICoefficients(ib, ie, alphas, tuple(1 - a for a in alphas))
+        rows, want = join_core._step(rows, co), dense_step(co, len(want), EXACT).dot(want)
+    got = join_core._dense(rows, cols)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+    assert all(type(x) is F for x in got.ravel())
+    assert all(d > 0 and gcd(d, *p) == 1 for p, d in rows)
+
+
+EXACT_BUILD_SPACES = [PRESETS[name]() for name in ("cox", "test1", "test3")] + [table7(5)] \
+    + [random_space(seed, 3, 5) for seed in range(20)]
+
+
+@pytest.mark.parametrize("route", ["rki", "rde", "mixed", "derivative"])
+def test_exact_builds_hold_only_fractions_traced_or_not(route):
+    # int rows become Fractions where a build keeps them and where a trace
+    # records a level: every kept cell is a Fraction, never an int, and the
+    # untraced build equals the traced one cell for cell
+    for sp in EXACT_BUILD_SPACES:
+        trace = Trace()
+        bundle, traced = build_matrix(sp, route, EXACT), build_matrix(sp, route, EXACT, trace)
+        assert bundle.orders.keys() == traced.orders.keys()
+        for rho, od in bundle.orders.items():
+            for name in ("matrix", "integrals", "integrals0"):
+                got, want = getattr(od, name), getattr(traced.orders[rho], name)
+                assert got.shape == want.shape and got.tolist() == want.tolist(), (sp, rho)
+                assert all(type(x) is F for x in np.concatenate([got.ravel(), want.ravel()]))
+        for s in trace.steps:
+            assert all(type(x) is F for x in np.concatenate([s.matrix.ravel(), s.integrals]))
 
 
 def traced_join_builds(field):
